@@ -78,6 +78,10 @@ type Options struct {
 	// hook owns all caching, so Cache is not consulted for dispatched
 	// cells.
 	Exec ExecFunc
+
+	// memo is the run memo of the batch being built (memoBatch): every
+	// cell's searches and final run go through it. Nil outside a batch.
+	memo *resultcache.Cache
 }
 
 // DefaultOptions returns the full-scale configuration used for
@@ -191,6 +195,7 @@ func (o Options) controlRun(b workload.Benchmark) control.Run {
 		IntervalLength: o.IntervalLength,
 		Fidelity:       o.Fidelity,
 		SampleEvery:    o.SampleEvery,
+		Memo:           o.memo,
 	}
 }
 
@@ -298,25 +303,44 @@ func (o Options) globalTasks(c *Comparison) []runner.Task[stats.Result] {
 // RunComparison executes the Table 6 / Figure 4 configuration matrix for
 // one benchmark.
 func (o Options) RunComparison(b workload.Benchmark) Comparison {
-	return o.runAllOn([]workload.Benchmark{b})[0]
+	cs, _ := o.runAllOn([]workload.Benchmark{b})
+	return cs[0]
 }
 
 // RunAll runs the comparison matrix over the selected benchmarks.
 func (o Options) RunAll() []Comparison {
-	return o.runAllOn(o.catalog())
+	cs, _ := o.runAllOn(o.catalog())
+	return cs
+}
+
+// memoBatch runs one experiment batch with a run memo of its own. build
+// receives the options carrying a fresh memory-only memo, and every
+// task built from them routes its search probes, off-line profile and
+// candidates, and final run through it, so a spec the batch requests
+// twice is simulated once. The memo is dropped when the batch returns;
+// its counters go to the progress log and back to the caller
+// (DESIGN.md, "Experiment memo").
+func (o Options) memoBatch(phase string, build func(Options) []runner.Task[stats.Result]) ([]stats.Result, resultcache.Stats) {
+	o.memo = resultcache.NewMemo()
+	res := o.mapTasks(build(o))
+	st := o.memo.Stats()
+	o.logf("%s memo: %d computed, %d reused, %d dedup-waits\n", phase, st.Misses, st.MemHits, st.Dedups)
+	return res, st
 }
 
 // runAllOn flattens the whole benchmark grid into two batches — the
 // independent runs of every row first, then every row's Global(·)
 // searches — so a single GOMAXPROCS-bounded pool sees maximal
 // parallelism. Comparisons come back in catalog order regardless of the
-// worker count.
-func (o Options) runAllOn(cat []workload.Benchmark) []Comparison {
-	var p1 []runner.Task[stats.Result]
-	for _, b := range cat {
-		p1 = append(p1, o.phase1Tasks(b)...)
-	}
-	r1 := o.mapTasks(p1)
+// worker count, followed by each batch's memo counters.
+func (o Options) runAllOn(cat []workload.Benchmark) ([]Comparison, [2]resultcache.Stats) {
+	r1, m1 := o.memoBatch("phase 1", func(o Options) []runner.Task[stats.Result] {
+		var p1 []runner.Task[stats.Result]
+		for _, b := range cat {
+			p1 = append(p1, o.phase1Tasks(b)...)
+		}
+		return p1
+	})
 
 	cs := make([]Comparison, len(cat))
 	for i, b := range cat {
@@ -331,17 +355,19 @@ func (o Options) runAllOn(cat []workload.Benchmark) []Comparison {
 		}
 	}
 
-	var p2 []runner.Task[stats.Result]
-	for i := range cs {
-		p2 = append(p2, o.globalTasks(&cs[i])...)
-	}
-	r2 := o.mapTasks(p2)
+	r2, m2 := o.memoBatch("phase 2", func(o Options) []runner.Task[stats.Result] {
+		var p2 []runner.Task[stats.Result]
+		for i := range cs {
+			p2 = append(p2, o.globalTasks(&cs[i])...)
+		}
+		return p2
+	})
 	for i := range cs {
 		cs[i].GlobalAD = r2[i*3+0]
 		cs[i].GlobalD1 = r2[i*3+1]
 		cs[i].GlobalD5 = r2[i*3+2]
 	}
-	return cs
+	return cs, [2]resultcache.Stats{m1, m2}
 }
 
 // summarize reduces one configuration across benchmarks against a chosen

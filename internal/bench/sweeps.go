@@ -8,7 +8,6 @@ import (
 	"mcd/internal/core"
 	"mcd/internal/resultcache"
 	"mcd/internal/runner"
-	"mcd/internal/sim"
 	"mcd/internal/stats"
 	"mcd/internal/workload"
 )
@@ -198,7 +197,7 @@ func (o Options) controlTask(bench, label, ctrl string, p control.Params, res co
 		if err != nil {
 			return stats.Result{}, err
 		}
-		return sim.Run(spec), nil
+		return run.Memo.Run(spec), nil
 	}
 	if o.Exec != nil {
 		if key, err := res.Key(run); err == nil {

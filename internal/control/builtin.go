@@ -63,7 +63,7 @@ func init() {
 				Doc: "1: bisect the down-step toward the cap when every candidate overshoots (for compressed quick scales); 0: classic fixed-step search"},
 		},
 		Build: func(r Run, p Params) (sim.Spec, error) {
-			ctrl, _ := core.BuildOffline(r.Config, r.Profile, r.Window, offlineOpts(r, p))
+			ctrl, _ := core.BuildOffline(r.Config, r.Profile, r.Window, offlineOpts(r, p), r.Memo)
 			spec := r.spec()
 			spec.Controller = ctrl
 			spec.InitialFreqMHz = ctrl.Initial()
@@ -91,17 +91,12 @@ func init() {
 		Build: func(r Run, p Params) (sim.Spec, error) {
 			base := p["base_ps"]
 			if base == 0 {
-				base = sim.Run(r.syncSpec(r.Config.MaxFreqMHz)).TimePS
+				base = r.Memo.Run(r.syncSpec(r.Config.MaxFreqMHz)).TimePS
 			}
-			// GlobalMatch's result is itself a synchronous run at the
-			// matched frequency, so re-running the returned spec is
-			// byte-identical by purity (the contract the registry tests
-			// pin). Build can only hand back a spec, so a cold cell pays
-			// one window-length run beyond the bisection's probes — the
-			// price of making Global(·) a content-addressed registry
-			// citizen; warm caches never pay it.
-			freq, _ := core.GlobalMatchFidelity(r.Config, r.Profile, r.Window, r.Warmup, base, p["deg"], r.Name,
-				r.Fidelity, r.SampleEvery, r.IntervalLength)
+			// Every probe is r.syncSpec(f), so the returned spec is the
+			// best probe itself: byte-identical by purity, and a memo
+			// hit when the final run shares the search's memo.
+			freq, _ := core.GlobalMatch(r.syncSpec, base, p["deg"], r.Memo)
 			return r.syncSpec(freq), nil
 		},
 		// The bisection is the expensive part; the content address is the

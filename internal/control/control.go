@@ -104,6 +104,12 @@ type Run struct {
 	// end to end and keyed apart from exact.
 	Fidelity    string
 	SampleEvery int
+	// Memo, if non-nil, is the run memo of the experiment batch this run
+	// belongs to: the compound preparations (off-line schedule search,
+	// global matching) run their simulations through it, and so does
+	// the caller's final run of the built spec. It is execution context,
+	// part of no key and of no spec; nil simply computes.
+	Memo *resultcache.Cache
 }
 
 // spec is the plain sim.Spec for the run, before any controller is

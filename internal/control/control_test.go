@@ -366,13 +366,17 @@ func runByName(t *testing.T, name string, run Run) stats.Result {
 // The "global" definition must reproduce core.GlobalMatch exactly:
 // building its spec and running it yields the same Result the direct
 // search returns (the bisection's best probe is itself a synchronous
-// run at the matched frequency, so purity closes the loop).
+// run at the matched frequency, so purity closes the loop). With a run
+// memo the final run is that probe, so it is reused rather than paid
+// for again.
 func TestGlobalDefinitionMatchesGlobalMatch(t *testing.T) {
 	run := testRun(t)
 	base := sim.RunSynchronousAt(run.Config, run.Profile, run.Window, run.Warmup,
 		run.Config.MaxFreqMHz, "global")
-	_, want := core.GlobalMatch(run.Config, run.Profile, run.Window, run.Warmup,
-		base.TimePS, 0.03, "global")
+	at := func(f float64) sim.Spec {
+		return sim.SynchronousSpec(run.Config, run.Profile, run.Window, run.Warmup, f, "global")
+	}
+	_, want := core.GlobalMatch(at, base.TimePS, 0.03, nil)
 
 	res, err := Resolve("global", Params{"deg": 0.03, "base_ps": base.TimePS})
 	if err != nil {
@@ -398,6 +402,20 @@ func TestGlobalDefinitionMatchesGlobalMatch(t *testing.T) {
 	}
 	if got := sim.Run(spec0); !reflect.DeepEqual(want, got) {
 		t.Error("global with measured baseline differs from explicit base_ps")
+	}
+
+	memoRun := run
+	memoRun.Memo = resultcache.NewMemo()
+	specM, err := res.Spec(memoRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := memoRun.Memo.Stats()
+	if got := memoRun.Memo.Run(specM); !reflect.DeepEqual(want, got) {
+		t.Error("global definition run through a memo differs from core.GlobalMatch")
+	}
+	if after := memoRun.Memo.Stats(); after.Misses != probes.Misses || after.MemHits != probes.MemHits+1 {
+		t.Errorf("final run was not the memoized best probe: %+v before, %+v after", probes, after)
 	}
 
 	// The content address never pays for the bisection and separates by

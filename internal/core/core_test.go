@@ -211,7 +211,7 @@ func TestOfflineBuilderMeetsTarget(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	const window = 200_000
 	const warm = 50_000
-	ctrl, base := BuildOffline(cfg, bench.Profile, window, OfflineOptions{TargetDeg: 0.05, Warmup: warm})
+	ctrl, base := BuildOffline(cfg, bench.Profile, window, OfflineOptions{TargetDeg: 0.05, Warmup: warm}, nil)
 	res := sim.Run(sim.Spec{
 		Config: cfg, Profile: bench.Profile, Window: window, Warmup: warm,
 		Controller: ctrl, InitialFreqMHz: ctrl.Initial(), Name: ctrl.Name(),
@@ -235,7 +235,7 @@ func TestGlobalMatchHitsDegradationTarget(t *testing.T) {
 	const window = 150_000
 	const warm = 50_000
 	base := sim.RunSynchronousAt(cfg, bench.Profile, window, warm, 1000, "sync-base")
-	freq, res := GlobalMatch(cfg, bench.Profile, window, warm, base.TimePS, 0.04, "global-4%")
+	freq, res := GlobalMatch(syncAt(cfg, bench.Profile, window, warm, "global-4%"), base.TimePS, 0.04, nil)
 	deg := res.TimePS/base.TimePS - 1
 	if math.Abs(deg-0.04) > 0.02 {
 		t.Errorf("global scaling degradation = %v, want ~0.04 (freq %v)", deg, freq)
@@ -252,10 +252,16 @@ func TestGlobalMatchZeroTargetStaysAtMax(t *testing.T) {
 	bench, _ := workload.Lookup("adpcm")
 	cfg := pipeline.DefaultConfig()
 	base := sim.RunSynchronousAt(cfg, bench.Profile, 50_000, 0, 1000, "sync-base")
-	freq, _ := GlobalMatch(cfg, bench.Profile, 50_000, 0, base.TimePS, 0, "global-0")
+	freq, _ := GlobalMatch(syncAt(cfg, bench.Profile, 50_000, 0, "global-0"), base.TimePS, 0, nil)
 	if freq != 1000 {
 		t.Errorf("zero-degradation target should stay at 1000 MHz, got %v", freq)
 	}
+}
+
+// syncAt is the Global(·) spec template of the fully synchronous
+// processor.
+func syncAt(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, name string) func(float64) sim.Spec {
+	return func(f float64) sim.Spec { return sim.SynchronousSpec(cfg, prof, window, warmup, f, name) }
 }
 
 func TestOfflineControllerLeadsByOneInterval(t *testing.T) {

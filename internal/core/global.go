@@ -2,43 +2,31 @@ package core
 
 import (
 	"mcd/internal/dvfs"
-	"mcd/internal/pipeline"
+	"mcd/internal/resultcache"
 	"mcd/internal/sim"
 	"mcd/internal/stats"
-	"mcd/internal/workload"
 )
 
 // GlobalMatch finds, by bisection over the 320-point operating scale, the
 // single global frequency at which the conventional fully synchronous
 // processor suffers the given performance degradation relative to baseTime
-// (its own 1 GHz run). This reproduces the Global(·) rows of Table 6: the
-// comparison point for each algorithm is global voltage scaling tuned to
-// the same slowdown.
+// (its own maximum-frequency run). This reproduces the Global(·) rows of
+// Table 6: the comparison point for each algorithm is global voltage
+// scaling tuned to the same slowdown.
+//
+// at is the spec template: the synchronous run at a given global
+// frequency, carrying everything else (configuration, window, fidelity
+// tier). Every probe is at(f), so a caller that runs at(freq) for the
+// returned frequency repeats the best probe exactly. Probes run through
+// memo (nil: plain runs), so searches that share a bisection prefix, and
+// a final run of the matched spec, pay for each probe once.
 //
 // It returns the chosen frequency and the run at that frequency. Because
 // memory latency is fixed in wall-clock terms, memory-bound workloads
 // degrade sublinearly in frequency, which is precisely why global scaling
 // saves so little energy per unit of slowdown (ratio ≈ 2).
-func GlobalMatch(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, baseTime float64, targetDeg float64, name string) (float64, stats.Result) {
-	return GlobalMatchFidelity(cfg, prof, window, warmup, baseTime, targetDeg, name, "", 0, 0)
-}
-
-// GlobalMatchFidelity is GlobalMatch with the bisection's probe runs
-// executed at the given fidelity tier ("" = exact), so a sampled request
-// pays sampled prices for the search. The exact-tier path is GlobalMatch
-// verbatim.
-func GlobalMatchFidelity(cfg pipeline.Config, prof workload.Profile, window, warmup uint64, baseTime float64, targetDeg float64, name, fidelity string, sampleEvery int, intervalLen uint64) (float64, stats.Result) {
-	runAt := func(f float64) stats.Result {
-		spec := sim.SynchronousSpec(cfg, prof, window, warmup, f, name)
-		spec.Fidelity = fidelity
-		spec.SampleEvery = sampleEvery
-		if spec.Sampled() {
-			// The interval is the sampling unit; exact probes keep the
-			// pipeline's default-length intervals unchanged.
-			spec.IntervalLength = intervalLen
-		}
-		return sim.Run(spec)
-	}
+func GlobalMatch(at func(freqMHz float64) sim.Spec, baseTime, targetDeg float64, memo *resultcache.Cache) (float64, stats.Result) {
+	runAt := func(f float64) stats.Result { return memo.Run(at(f)) }
 	scale := dvfs.DefaultScale()
 	lo, hi := 0, scale.Points()-1 // index 0 = 250 MHz, max index = 1000 MHz
 	freqAt := func(i int) float64 { return scale.MinFreqMHz() + float64(i)*scale.StepMHz() }

@@ -233,15 +233,20 @@ func refine(sched Schedule, cur, base stats.Result, deg float64, cfg pipeline.Co
 // it. With the default single candidate this degenerates to the classic
 // serial refinement and produces bit-identical schedules to it.
 //
+// The profiling and candidate runs go through memo (nil: plain runs),
+// so searches that profile the same baseline, and an iteration whose
+// refinement reached a fixed point, reuse the identical earlier run
+// instead of simulating it again.
+//
 // This reproduces the *global knowledge* property of the paper's off-line
 // shaker — it sees every interval of the whole run before choosing any
 // frequency, pays no reactive lag, and can therefore cap the dilation
 // tightly — without reimplementing the shaker's dependence-graph passes.
-func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opts OfflineOptions) (*OfflineController, stats.Result) {
+func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opts OfflineOptions, memo *resultcache.Cache) (*OfflineController, stats.Result) {
 	opts = opts.withDefaults()
 	name := fmt.Sprintf("dynamic-%.0f%%", opts.TargetDeg*100)
 
-	base := sim.Run(sim.Spec{
+	base := memo.Run(sim.Spec{
 		Config: cfg, Profile: prof, Window: window, Warmup: opts.Warmup,
 		IntervalLength:  opts.IntervalLength,
 		RecordIntervals: true, Name: "mcd-baseline",
@@ -270,7 +275,7 @@ func BuildOffline(cfg pipeline.Config, prof workload.Profile, window uint64, opt
 			cands[k] = refine(sched, cur, base, deg, cfg, opts,
 				math.Pow(down, e), math.Pow(opts.StepUp, e))
 			ctrl := NewOfflineController(name, cands[k])
-			tasks[k] = runner.SpecTask(fmt.Sprintf("%s/cand%d", name, k), sim.Spec{
+			tasks[k] = resultcache.Task(memo, fmt.Sprintf("%s/cand%d", name, k), sim.Spec{
 				Config: cfg, Profile: prof, Window: window, Warmup: opts.Warmup,
 				IntervalLength: opts.IntervalLength,
 				Controller:     ctrl, InitialFreqMHz: ctrl.Initial(),

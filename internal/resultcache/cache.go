@@ -425,14 +425,46 @@ func (c *Cache) DoResult(key string, run func() (stats.Result, error)) (stats.Re
 // be computed (opaque controller) and nil caches fall back to a plain
 // uncached run.
 func Task(c *Cache, name string, spec sim.Spec) runner.Task[stats.Result] {
+	return runner.Task[stats.Result]{Name: name, Run: func(context.Context) (stats.Result, error) {
+		return c.runSpec(spec)
+	}}
+}
+
+// runSpec is the one path from a spec to a stored run, shared by Task
+// and Run: keyed through DoResult when the spec has a content address
+// and the cache exists, a plain simulation otherwise.
+func (c *Cache) runSpec(spec sim.Spec) (stats.Result, error) {
 	if c == nil {
-		return runner.SpecTask(name, spec)
+		return sim.Run(spec), nil
 	}
 	key, err := SpecKey(spec)
 	if err != nil {
-		return runner.SpecTask(name, spec)
+		return sim.Run(spec), nil
 	}
-	return TaskKeyed(c, name, key, func() (stats.Result, error) { return sim.Run(spec), nil })
+	r, _, err := c.DoResult(key, func() (stats.Result, error) { return sim.Run(spec), nil })
+	return r, err
+}
+
+// NewMemo returns a memory-only store at the default memory bound: the
+// run memo an experiment batch owns for the duration of the batch
+// (DESIGN.md, "Experiment memo"). Without a disk tier it cannot fail.
+func NewMemo() *Cache {
+	c, _ := New(Options{})
+	return c
+}
+
+// Run simulates spec through the store: a stored or in-flight result
+// under the spec's content address is reused, anything else is
+// simulated once and stored. A nil store, or a spec without a content
+// address (an opaque controller), simply simulates. When the shared run
+// this call waited on panicked, Run panics with that error, so the
+// waiting task fails as its leader did instead of blocking.
+func (c *Cache) Run(spec sim.Spec) stats.Result {
+	r, err := c.runSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // TaskKeyed wraps an arbitrary deterministic computation under an

@@ -308,14 +308,15 @@ type OfflineOptions = core.OfflineOptions
 // degradation cap. It returns the schedule controller and the baseline
 // MCD run it profiled.
 func BuildOffline(cfg Config, prof Profile, window uint64, opts OfflineOptions) (*core.OfflineController, Result) {
-	return core.BuildOffline(cfg, prof, window, opts)
+	return core.BuildOffline(cfg, prof, window, opts, nil)
 }
 
 // GlobalMatch finds the single global frequency at which the fully
 // synchronous processor matches a target slowdown (the Global(·) rows of
 // Table 6).
 func GlobalMatch(cfg Config, prof Profile, window, warmup uint64, baseTime, targetDeg float64, name string) (float64, Result) {
-	return core.GlobalMatch(cfg, prof, window, warmup, baseTime, targetDeg, name)
+	at := func(f float64) sim.Spec { return sim.SynchronousSpec(cfg, prof, window, warmup, f, name) }
+	return core.GlobalMatch(at, baseTime, targetDeg, nil)
 }
 
 // Workload modeling types: each benchmark of Table 5 is a deterministic
