@@ -108,7 +108,7 @@ func main() {
 				iv.Index, iv.IPC, iv.FreqMHz[mcd.FrontEnd], iv.FreqMHz[mcd.Integer],
 				iv.FreqMHz[mcd.FloatingPoint], iv.FreqMHz[mcd.LoadStore])
 		}
-		body, _, err := req.RunStream(context.Background(), nil, emit)
+		body, _, err := req.RunStream(context.Background(), nil, wire.RunHooks{Emit: emit})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mcdsim: %v\n", err)
 			os.Exit(1)

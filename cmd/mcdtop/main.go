@@ -4,7 +4,7 @@
 // job's /events feed, rendering:
 //
 //   - the queue and job-table shape (queued / running / done / failed),
-//     process-wide simulated MIPS, and recent job latency
+//     process-wide simulated MIPS, and the mean job run time
 //   - cache traffic by tier (mem / disk / dedup hits vs misses) and the
 //     stream gap-record counter
 //   - per-runner busy state and attributed simulation throughput
@@ -283,9 +283,15 @@ func (f *frame) render(w io.Writer, ansi bool, live string, poll time.Duration) 
 		bold, reset, f.base, dim, f.at.Format("15:04:05"), poll, reset)
 
 	states := f.met.series("mcd_jobs")
-	fmt.Fprintf(w, "jobs    queued %.0f  running %.0f  done %.0f  failed %.0f   queue depth %.0f   latency %.2fs\n",
+	// The run-phase mean of the job-duration histogram is what the
+	// server's Retry-After estimate drains the queue at.
+	runMean := 0.0
+	if n := f.met.series("mcd_job_duration_seconds_count")["run"]; n > 0 {
+		runMean = f.met.series("mcd_job_duration_seconds_sum")["run"] / n
+	}
+	fmt.Fprintf(w, "jobs    queued %.0f  running %.0f  done %.0f  failed %.0f   queue depth %.0f   run mean %.2fs\n",
 		states["queued"], states["running"], states["done"], states["failed"],
-		f.met["mcd_queue_depth"], f.met["mcd_job_latency_seconds"])
+		f.met["mcd_queue_depth"], runMean)
 	fmt.Fprintf(w, "sim     %.1f MIPS   %.0f instructions total\n",
 		f.met["mcd_sim_mips"], f.met["mcd_sim_instructions_total"])
 

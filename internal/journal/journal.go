@@ -34,8 +34,9 @@ import (
 	"mcd/internal/wire"
 )
 
-// Job kinds a Submit record can carry. They mirror the service's
-// submission entry points; the journal only stores and replays them.
+// Job kinds a Submit record can carry. They are the service's job
+// kinds (Submit is the tagged union its one submission method takes);
+// the journal only stores and replays them.
 const (
 	KindRun        = "run"
 	KindStream     = "stream"

@@ -262,6 +262,17 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
+// Mean returns the mean of every observation so far (the exposition's
+// _sum over _count); ok is false before the first observation.
+func (h *Histogram) Mean() (mean float64, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
+		return 0, false
+	}
+	return h.sum / float64(h.count), true
+}
+
 // snapshot copies the histogram's state: cumulative bucket counts in
 // bound order, then sum and count.
 func (h *Histogram) snapshot() (cum []uint64, sum float64, count uint64) {

@@ -177,6 +177,18 @@ func TestHistogramBoundaryLandsInLeBucket(t *testing.T) {
 	}
 }
 
+func TestHistogramMean(t *testing.T) {
+	h := New().HistogramVec("h", "", "phase", []float64{1}).With("x")
+	if _, ok := h.Mean(); ok {
+		t.Fatal("empty histogram reported a mean")
+	}
+	h.Observe(0.5)
+	h.Observe(2.5)
+	if mean, ok := h.Mean(); !ok || mean != 1.5 {
+		t.Fatalf("Mean() = %v, %v; want 1.5, true", mean, ok)
+	}
+}
+
 func TestHistogramNilRegistry(t *testing.T) {
 	var r *Registry
 	v := r.HistogramVec("h", "", "phase", []float64{1})

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -19,27 +21,40 @@ import (
 )
 
 // TestCrashResumeByteIdentity is the crash-safety contract end to end:
-// submit jobs, hard-stop the manager mid-run with no drain (Kill — the
-// in-process stand-in for SIGKILL), restart over the same journal and
-// cache directories, and every job reaches Done under its original ID
-// with a body byte-identical to an uninterrupted run's.
+// submit one job of every kind, hard-stop the manager mid-run with no
+// drain (Kill — the in-process stand-in for SIGKILL), restart over the
+// same journal and cache directories, and every job reaches Done under
+// its original ID with a body byte-identical to an uninterrupted run's.
 func TestCrashResumeByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "jobs.ndjson")
 	cacheDir := filepath.Join(dir, "cache")
 
 	// Job 1 is long enough (~1s) that the kill reliably lands mid-run;
-	// jobs 2 and 3 are still queued behind the single runner.
+	// every other job is still queued behind the single runner.
 	long := wire.RunRequest{Benchmark: "adpcm", Config: "attack-decay", Window: 2_000_000, Warmup: wire.U64(4_000), Interval: wire.U64(250)}
 	quickA := wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}
 	quickB := wire.RunRequest{Benchmark: "adpcm", Config: "sync", Window: 8_000, Warmup: wire.U64(4_000)}
-	reqs := []wire.RunRequest{long, quickA, quickB}
+	streamed := wire.RunRequest{Benchmark: "mcf", Config: "attack-decay", Window: 8_000, Warmup: wire.U64(4_000), Interval: wire.U64(250)}
+	batch := []wire.RunRequest{
+		{Benchmark: "mcf", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)},
+		{Benchmark: "epic", Config: "attack-decay", Window: 8_000, Warmup: wire.U64(4_000)},
+	}
+	exp := wire.ExperimentRequest{Name: "table6", Quick: true, Window: 10_000, Warmup: 5_000, Benchmarks: []string{"adpcm"}}
+	subs := []journal.Submit{
+		{Kind: journal.KindRun, Run: &long},
+		{Kind: journal.KindRun, Run: &quickA},
+		{Kind: journal.KindRun, Run: &quickB},
+		{Kind: journal.KindStream, Run: &streamed},
+		{Kind: journal.KindBatch, Runs: batch},
+		{Kind: journal.KindExperiment, Experiment: &exp},
+	}
 
 	// The uninterrupted reference, over its own private cache.
-	want := make([][]byte, len(reqs))
+	want := make([][]byte, len(subs))
 	ref := New(Options{Runners: 1})
-	for i, r := range reqs {
-		j, err := ref.SubmitRun(r)
+	for i, sub := range subs {
+		j, err := ref.Submit(sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,10 +77,11 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(Options{Runners: 1, Journal: jnl, Cache: cache})
-	ids := make([]string, len(reqs))
-	jobs := make([]*Job, len(reqs))
-	for i, r := range reqs {
-		j, err := m.SubmitRunAs("crash-client", r)
+	ids := make([]string, len(subs))
+	jobs := make([]*Job, len(subs))
+	for i, sub := range subs {
+		sub.Client = "crash-client"
+		j, err := m.Submit(sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +95,8 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(jnl2.Pending()); got != len(reqs) {
-		t.Fatalf("journal replay found %d live jobs, want %d", got, len(reqs))
+	if got := len(jnl2.Pending()); got != len(subs) {
+		t.Fatalf("journal replay found %d live jobs, want %d", got, len(subs))
 	}
 	cache2, err := resultcache.New(resultcache.Options{Dir: cacheDir})
 	if err != nil {
@@ -91,17 +107,17 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	for i, id := range ids {
 		j, ok := m2.Job(id)
 		if !ok {
-			t.Fatalf("job %s not re-queued after restart", id)
+			t.Fatalf("%s job %s not re-queued after restart", subs[i].Kind, id)
 		}
 		body, snap, err := j.WaitResult(context.Background())
 		if err != nil {
-			t.Fatalf("resumed job %s: %v", id, err)
+			t.Fatalf("resumed %s job %s: %v", subs[i].Kind, id, err)
 		}
 		if snap.State != Done {
-			t.Fatalf("resumed job %s state %s, want done", id, snap.State)
+			t.Fatalf("resumed %s job %s state %s, want done", subs[i].Kind, id, snap.State)
 		}
 		if !bytes.Equal(body, want[i]) {
-			t.Errorf("resumed job %s body diverged from the uninterrupted run (%d vs %d bytes)", id, len(body), len(want[i]))
+			t.Errorf("resumed %s job %s body diverged from the uninterrupted run (%d vs %d bytes)", subs[i].Kind, id, len(body), len(want[i]))
 		}
 	}
 
@@ -111,15 +127,50 @@ func TestCrashResumeByteIdentity(t *testing.T) {
 	if err := m2.Metrics().Render(&scrape); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(scrape.String(), "mcd_journal_replayed_jobs 3") {
-		t.Errorf("scrape missing replay gauge:\n%s", scrape.String())
+	if want := "mcd_journal_replayed_jobs " + strconv.Itoa(len(subs)) + "\n"; !strings.Contains(scrape.String(), want) {
+		t.Errorf("scrape missing %q:\n%s", want, scrape.String())
 	}
-	j4, err := m2.SubmitRun(quickA)
+	next, err := m2.Submit(journal.Submit{Kind: journal.KindRun, Run: &quickA})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j4.ID() != "j000004" {
-		t.Errorf("post-restart job ID = %s, want j000004 (sequence resumed past replayed IDs)", j4.ID())
+	if want := fmt.Sprintf("j%06d", len(subs)+1); next.ID() != want {
+		t.Errorf("post-restart job ID = %s, want %s (sequence resumed past replayed IDs)", next.ID(), want)
+	}
+}
+
+// TestSubmitRejectsMalformed: a submission of an unknown kind, or of a
+// known kind without its payload, is refused before it takes any state
+// — no job in the table, no record in the journal.
+func TestSubmitRejectsMalformed(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "jobs.ndjson")
+	jnl, err := journal.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(Options{Runners: 1, Journal: jnl})
+	run := wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}
+	for _, sub := range []journal.Submit{
+		{Kind: "bogus", Client: "c", Run: &run},
+		{Kind: journal.KindRun, Client: "c"},
+		{Kind: journal.KindStream, Client: "c"},
+		{Kind: journal.KindBatch, Client: "c"},
+		{Kind: journal.KindExperiment, Client: "c"},
+	} {
+		if j, err := m.Submit(sub); err == nil {
+			t.Errorf("Submit(kind %q) accepted job %s, want an error", sub.Kind, j.ID())
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected submissions left %d jobs in the table", len(jobs))
+	}
+	m.Kill()
+	raw, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 0 {
+		t.Errorf("rejected submissions reached the journal:\n%s", raw)
 	}
 }
 
@@ -301,7 +352,7 @@ func TestUserCancelDoesNotResurrect(t *testing.T) {
 	}
 	waitState(t, running, Running)
 
-	victim, err := m.SubmitRunAs("alice", wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)})
+	victim, err := m.Submit(journal.Submit{Kind: journal.KindRun, Client: "alice", Run: &wire.RunRequest{Benchmark: "adpcm", Config: "mcd", Window: 8_000, Warmup: wire.U64(4_000)}})
 	if err != nil {
 		t.Fatal(err)
 	}

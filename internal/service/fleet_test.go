@@ -90,7 +90,7 @@ func TestJournalResultReplayAsDone(t *testing.T) {
 	}
 	m := New(Options{Runners: 1, Journal: jnl}) // no cache: nothing else can reproduce the bytes
 	req := wire.RunRequest{Benchmark: "adpcm", Config: "attack-decay", Window: 8_000, Warmup: wire.U64(4_000)}
-	j, err := m.SubmitRun(req)
+	j, err := m.Submit(journal.Submit{Kind: journal.KindRun, Run: &req})
 	if err != nil {
 		t.Fatal(err)
 	}

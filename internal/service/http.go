@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mcd/internal/control"
+	"mcd/internal/journal"
 	"mcd/internal/trace"
 	"mcd/internal/wire"
 )
@@ -116,41 +117,41 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(p.Runs) > 0 {
-		if p.Stream {
-			writeError(w, http.StatusBadRequest, errors.New("stream applies to a single run, not a batch"))
-			return
-		}
-		j, err := m.SubmitBatchAs(clientID(r), p.Runs)
-		if err != nil {
-			writeSubmitError(m, w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return
-	}
-	if p.Async {
-		submit := m.SubmitRunAs
-		if p.Stream {
-			submit = m.SubmitStreamAs
-		}
-		j, err := submit(clientID(r), p.RunRequest)
-		if err != nil {
-			writeSubmitError(m, w, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, j.Snapshot())
-		return
-	}
+	sub := journal.Submit{Kind: journal.KindRun, Client: clientID(r), Run: &p.RunRequest}
 	if p.Stream {
-		handleStreamRun(m, w, r, p.RunRequest)
+		sub.Kind = journal.KindStream
+	}
+	switch {
+	case len(p.Runs) > 0 && p.Stream:
+		writeError(w, http.StatusBadRequest, errors.New("stream applies to a single run, not a batch"))
+	case len(p.Runs) > 0:
+		acceptJob(m, w, journal.Submit{Kind: journal.KindBatch, Client: sub.Client, Runs: p.Runs})
+	case p.Async:
+		acceptJob(m, w, sub)
+	case p.Stream:
+		handleStreamRun(m, w, r, sub)
+	default:
+		handleSyncRun(m, w, r, sub)
+	}
+}
+
+// acceptJob submits a queued job and answers 202 with its snapshot.
+func acceptJob(m *Manager, w http.ResponseWriter, sub journal.Submit) {
+	j, err := m.Submit(sub)
+	if err != nil {
+		writeSubmitError(m, w, err)
 		return
 	}
-	// Synchronous: a stored result is served straight from the cache —
-	// a hash lookup, never queued behind running experiments. Only a
-	// miss costs a job, so the concurrency/queue bounds apply exactly
-	// to the requests that simulate.
-	if key, err := p.RunRequest.Key(); err == nil {
+	writeJSON(w, http.StatusAccepted, j.Snapshot())
+}
+
+// handleSyncRun answers a plain single run with the canonical result
+// body once its job finishes. A stored result is served straight from
+// the cache — a hash lookup, never queued behind running experiments.
+// Only a miss costs a job, so the concurrency/queue bounds apply
+// exactly to the requests that simulate.
+func handleSyncRun(m *Manager, w http.ResponseWriter, r *http.Request, sub journal.Submit) {
+	if key, err := sub.Run.Key(); err == nil {
 		if body, ok := m.Cache().GetBytes(key); ok {
 			w.Header().Set("X-Cache", "hit")
 			w.Header().Set("Content-Type", "application/json")
@@ -158,7 +159,7 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j, err := m.SubmitRunAs(clientID(r), p.RunRequest)
+	j, err := m.Submit(sub)
 	if err != nil {
 		writeSubmitError(m, w, err)
 		return
@@ -195,25 +196,20 @@ func handleRuns(m *Manager, w http.ResponseWriter, r *http.Request) {
 // end with zero interval frames and a "cache":"hit" result. A client
 // that disconnects cancels the job, which closes the stepped session
 // at the next interval boundary.
-func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, req wire.RunRequest) {
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
+func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, sub journal.Submit) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	if key, err := req.Key(); err == nil {
+	if key, err := sub.Run.Key(); err == nil {
 		if body, ok := m.Cache().GetBytes(key); ok {
 			w.Header().Set("X-Cache", "hit")
 			enc.Encode(wire.ResultFrame(body, true))
 			return
 		}
 	}
-	j, err := m.SubmitStreamAs(clientID(r), req)
+	j, err := m.Submit(sub)
 	if err != nil {
-		w.Header().Del("Content-Type")
-		writeSubmitError(m, w, err)
+		writeSubmitError(m, w, err) // answers JSON, replacing the NDJSON Content-Type
 		return
 	}
 	w.Header().Set("X-Cache", "miss")
@@ -221,25 +217,12 @@ func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, req wir
 	for {
 		ch := j.Watch()
 		snap := j.Snapshot()
-		ivs, n, dropped := j.IntervalsSince(next)
-		next = n
-		if dropped > 0 {
-			// This consumer outran the bounded interval log; the gap is
-			// explicit in the stream, never silent, and the metric counts
-			// exactly the records each gap frame reports dropped.
-			m.met.gapFrames.Add(float64(dropped))
-			if enc.Encode(wire.GapFrame(dropped)) != nil {
-				m.Cancel(j.ID())
-				return
-			}
+		var sent int
+		if next, sent, err = m.writeIntervals(enc, j, next); err != nil {
+			m.Cancel(j.ID())
+			return
 		}
-		for i := range ivs {
-			if enc.Encode(wire.IntervalFrame(&ivs[i])) != nil {
-				m.Cancel(j.ID())
-				return
-			}
-		}
-		if flusher != nil && len(ivs) > 0 {
+		if flusher != nil && sent > 0 {
 			flusher.Flush()
 		}
 		if snap.Terminal() {
@@ -260,6 +243,29 @@ func handleStreamRun(m *Manager, w http.ResponseWriter, r *http.Request, req wir
 			return
 		}
 	}
+}
+
+// writeIntervals encodes the job's interval records from absolute index
+// next on: a gap frame first when this consumer outran the bounded
+// interval log (the gap is explicit in the stream, never silent, and
+// the metric counts exactly the records each gap frame reports
+// dropped), then one interval frame per record. It returns the index
+// to resume from, how many interval frames it wrote, and the first
+// encode error.
+func (m *Manager) writeIntervals(enc *json.Encoder, j *Job, next int) (resume, sent int, err error) {
+	ivs, resume, dropped := j.IntervalsSince(next)
+	if dropped > 0 {
+		m.met.gapFrames.Add(float64(dropped))
+		if err := enc.Encode(wire.GapFrame(dropped)); err != nil {
+			return resume, 0, err
+		}
+	}
+	for i := range ivs {
+		if err := enc.Encode(wire.IntervalFrame(&ivs[i])); err != nil {
+			return resume, i, err
+		}
+	}
+	return resume, len(ivs), nil
 }
 
 // errTracingDisabled answers trace requests on an untraced server.
@@ -293,12 +299,7 @@ func handleExperiments(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := m.SubmitExperimentAs(clientID(r), e)
-	if err != nil {
-		writeSubmitError(m, w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Snapshot())
+	acceptJob(m, w, journal.Submit{Kind: journal.KindExperiment, Client: clientID(r), Experiment: &e})
 }
 
 // handleEvents streams one NDJSON snapshot line per progress update,
@@ -321,18 +322,9 @@ func handleEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	for {
 		ch := j.Watch()
 		snap := j.Snapshot()
-		ivs, n, dropped := j.IntervalsSince(next)
-		next = n
-		if dropped > 0 {
-			m.met.gapFrames.Add(float64(dropped))
-			if enc.Encode(wire.GapFrame(dropped)) != nil {
-				return
-			}
-		}
-		for i := range ivs {
-			if enc.Encode(wire.IntervalFrame(&ivs[i])) != nil {
-				return
-			}
+		var err error
+		if next, _, err = m.writeIntervals(enc, j, next); err != nil {
+			return
 		}
 		// Stream jobs wake watchers once per interval; the snapshot line
 		// is only worth a flush when it actually changed.
@@ -403,9 +395,9 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// writeSubmitError maps a submission failure to its response. Both
-// rejection flavors answer 429 with a Retry-After estimate (the queue
-// drained at recent job latency) and name their reason — "queue" means
+// writeSubmitError maps a submission failure to its response. Every
+// rejection flavor answers 429 with a Retry-After estimate (the queue
+// drained at the mean job run time) and names its reason — "queue" means
 // everyone is waiting, "quota" means this client specifically should
 // back off — so clients can distinguish server pressure from their own.
 func writeSubmitError(m *Manager, w http.ResponseWriter, err error) {

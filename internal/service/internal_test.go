@@ -19,7 +19,7 @@ import (
 // pinning the single runner so queue behaviour is deterministic.
 func blockingJob(t *testing.T, m *Manager, release <-chan struct{}) *Job {
 	t.Helper()
-	j, err := m.submit("block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	j, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("done\n"), nil
@@ -70,7 +70,7 @@ func TestQueueDegradesThenRejects(t *testing.T) {
 		t.Fatalf("q1 state %s, want queued", s)
 	}
 
-	if _, err := m.submit("block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	if _, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 		return nil, nil
 	}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
@@ -82,7 +82,7 @@ func TestQueueDegradesThenRejects(t *testing.T) {
 		t.Fatal("cancel queued job returned false")
 	}
 	waitState(t, q2, Failed)
-	if _, err := m.submit("block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	if _, err := m.enqueue("", nil, "block", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 		return nil, nil
 	}); err != nil {
 		t.Fatalf("submit after cancelling a queued job: %v", err)
@@ -100,7 +100,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitState(t, running, Running)
 
 	executed := false
-	victim, err := m.submit("victim", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	victim, err := m.enqueue("", nil, "victim", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 		executed = true
 		return nil, nil
 	})
@@ -213,7 +213,7 @@ func TestRetentionBoundsJobTable(t *testing.T) {
 
 	var last *Job
 	for i := 0; i < 6; i++ {
-		j, err := m.submit("quick", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+		j, err := m.enqueue("", nil, "quick", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 			return []byte("x\n"), nil
 		})
 		if err != nil {
@@ -242,7 +242,7 @@ func TestJobPanicIsIsolated(t *testing.T) {
 	m := New(Options{Runners: 1, QueueDepth: 4})
 	defer m.Close()
 
-	bad, err := m.submit("bad", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	bad, err := m.enqueue("", nil, "bad", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 		panic("boom")
 	})
 	if err != nil {
@@ -250,7 +250,7 @@ func TestJobPanicIsIsolated(t *testing.T) {
 	}
 	waitState(t, bad, Failed)
 
-	good, err := m.submit("good", 1, func(ctx context.Context, j *Job) ([]byte, error) {
+	good, err := m.enqueue("", nil, "good", 1, func(ctx context.Context, j *Job) ([]byte, error) {
 		return []byte("ok\n"), nil
 	})
 	if err != nil {

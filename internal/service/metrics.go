@@ -75,11 +75,6 @@ func newManagerMetrics(m *Manager, reg *metrics.Registry) *managerMetrics {
 	}
 	reg.GaugeFunc("mcd_queue_depth", "Jobs waiting for a runner.", m.queueDepth)
 	reg.GaugeVecFunc("mcd_jobs", "Jobs in the table, by state.", "state", m.stateCounts)
-	reg.GaugeFunc("mcd_job_latency_seconds", "Exponentially weighted recent job latency.", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.latEWMA
-	})
 
 	// Cache families sample the result store's own counters; with no
 	// store configured every sample is zero, which keeps dashboards

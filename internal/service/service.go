@@ -161,9 +161,6 @@ type Manager struct {
 	// must stop journaling before the cancellation fallout writes
 	// terminal states the real crash would never have written.
 	jnl *journal.Journal
-	// latEWMA tracks recent job latency (seconds, exponentially
-	// weighted) — the basis of Retry-After on 429 responses.
-	latEWMA float64
 }
 
 // New starts a manager and its runner pool. A journal in the options is
@@ -338,7 +335,6 @@ func (m *Manager) execute(runner int, j *Job) {
 		// "Operations").
 		m.met.runnerMIPS.With(label).Set(float64(sim.SimulatedInstructions()-instrBefore) / secs / 1e6)
 	}
-	m.noteLatency(dur)
 	m.met.jobDuration.With("run").Observe(dur.Seconds())
 	if m.tracing() {
 		m.addTrace(j, spanRec("execute", j.Key(), "", start, start.Add(dur)))
@@ -407,27 +403,17 @@ func (m *Manager) journalState(j *Job, s State) {
 	}
 }
 
-// noteLatency folds one executed job's duration into the latency EWMA.
-func (m *Manager) noteLatency(d time.Duration) {
-	m.mu.Lock()
-	if m.latEWMA == 0 {
-		m.latEWMA = d.Seconds()
-	} else {
-		m.latEWMA = 0.7*m.latEWMA + 0.3*d.Seconds()
-	}
-	m.mu.Unlock()
-}
-
 // RetryAfter estimates how long a rejected client should wait before
-// retrying: the current queue drained at the recent per-job latency
-// across the runner pool, floored at one second (whole seconds, as the
-// Retry-After header wants).
+// retrying: the current queue drained at the mean run-phase job
+// duration across the runner pool (one second before any job has run),
+// floored at one second (whole seconds, as the Retry-After header
+// wants).
 func (m *Manager) RetryAfter() time.Duration {
 	m.mu.Lock()
 	depth := len(m.pending)
-	lat := m.latEWMA
 	m.mu.Unlock()
-	if lat == 0 {
+	lat, ok := m.met.jobDuration.With("run").Mean()
+	if !ok {
 		lat = 1
 	}
 	secs := lat * float64(depth+1) / float64(m.opts.Runners)
@@ -437,16 +423,28 @@ func (m *Manager) RetryAfter() time.Duration {
 	return time.Duration(math.Ceil(secs)) * time.Second
 }
 
-// submit registers and enqueues an anonymous, unjournaled job; kind and
-// total label it, run produces the result body.
-func (m *Manager) submit(kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
-	return m.enqueue("", nil, kind, total, run)
+// runFunc produces a job's result body; it runs on a runner goroutine
+// under the job's context.
+type runFunc func(ctx context.Context, j *Job) ([]byte, error)
+
+// Submit validates one submission and enqueues it: the single entry
+// into the job queue for every kind (jobFor turns it into a job).
+// sub.Client is the quota identity (empty for direct library use, which
+// is exempt); the manager assigns sub.ID and, with a journal configured,
+// persists the submission, so the job survives a crash and replays
+// under the same ID.
+func (m *Manager) Submit(sub journal.Submit) (*Job, error) {
+	kind, total, run, err := m.jobFor(&sub)
+	if err != nil {
+		return nil, err
+	}
+	return m.enqueue(sub.Client, &sub, kind, total, run)
 }
 
 // enqueue registers and enqueues a job. A non-empty client is charged
 // against the per-client quota; a non-nil sub is persisted to the
 // journal (its ID is filled in here) so the job survives a crash.
-func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error)) (*Job, error) {
+func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total int, run runFunc) (*Job, error) {
 	// The admission gate runs before any state is taken: fleet-wide
 	// backpressure (the fabric's saturation signal) rejects here, so a
 	// saturated fleet sheds load at the front door instead of queueing
@@ -457,15 +455,13 @@ func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total
 			return nil, err
 		}
 	}
-	jctx, jcancel := context.WithCancel(m.ctx)
 	m.mu.Lock()
-	if m.closed || len(m.pending) >= m.opts.QueueDepth {
-		closed := m.closed
+	if m.closed {
 		m.mu.Unlock()
-		jcancel()
-		if closed {
-			return nil, errors.New("service: manager closed")
-		}
+		return nil, errors.New("service: manager closed")
+	}
+	if len(m.pending) >= m.opts.QueueDepth {
+		m.mu.Unlock()
 		m.met.rejected.With("queue").Inc()
 		return nil, ErrQueueFull
 	}
@@ -478,31 +474,14 @@ func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total
 		}
 		if queued >= m.opts.ClientQuota {
 			m.mu.Unlock()
-			jcancel()
 			m.met.rejected.With("quota").Inc()
 			return nil, fmt.Errorf("%w: client %q already holds %d queued jobs", ErrQuota, client, queued)
 		}
 	}
 	m.seq++
-	j := &Job{
-		id:      fmt.Sprintf("j%06d", m.seq),
-		kind:    kind,
-		client:  client,
-		sub:     sub,
-		state:   Queued,
-		total:   total,
-		created: time.Now(),
-		ctx:     jctx,
-		cancel:  jcancel,
-		watch:   make(chan struct{}),
-		run:     run,
-	}
-	if m.tracing() {
-		j.trc = trace.NewRing(maxJobTraceRecords)
-	}
+	j := m.newJob(fmt.Sprintf("j%06d", m.seq), kind, client, sub, total, run)
 	if sub != nil {
 		sub.ID = j.id
-		sub.Client = client
 	}
 	m.jobs[j.id] = j
 	m.pending = append(m.pending, j)
@@ -528,6 +507,30 @@ func (m *Manager) enqueue(client string, sub *journal.Submit, kind string, total
 	return j, nil
 }
 
+// newJob builds a queued job bound to its own child of the manager's
+// context (released when the job turns terminal) and, when tracing, its
+// own bounded trace ring.
+func (m *Manager) newJob(id, kind, client string, sub *journal.Submit, total int, run runFunc) *Job {
+	ctx, cancel := context.WithCancel(m.ctx)
+	j := &Job{
+		id:      id,
+		kind:    kind,
+		client:  client,
+		sub:     sub,
+		state:   Queued,
+		total:   total,
+		created: time.Now(),
+		ctx:     ctx,
+		cancel:  cancel,
+		watch:   make(chan struct{}),
+		run:     run,
+	}
+	if m.tracing() {
+		j.trc = trace.NewRing(maxJobTraceRecords)
+	}
+	return j
+}
+
 // kindLabel collapses "experiment:<name>" into one metric label value
 // per job family, keeping the submitted-counter cardinality bounded.
 func kindLabel(kind string) string {
@@ -542,24 +545,16 @@ func kindLabel(kind string) string {
 // single translation both live submissions and journal replay use, so a
 // replayed job is — by construction — the same computation its original
 // submission described.
-func (m *Manager) jobFor(sub *journal.Submit) (kind string, total int, run func(ctx context.Context, j *Job) ([]byte, error), err error) {
+func (m *Manager) jobFor(sub *journal.Submit) (kind string, total int, run runFunc, err error) {
 	switch sub.Kind {
-	case journal.KindRun:
+	case journal.KindRun, journal.KindStream:
 		if sub.Run == nil {
-			return "", 0, nil, errors.New("service: run submission without a request")
+			return "", 0, nil, fmt.Errorf("service: %s submission without a request", sub.Kind)
 		}
 		if err := sub.Run.Validate(); err != nil {
 			return "", 0, nil, err
 		}
-		return "run", 1, m.runRun(*sub.Run), nil
-	case journal.KindStream:
-		if sub.Run == nil {
-			return "", 0, nil, errors.New("service: stream submission without a request")
-		}
-		if err := sub.Run.Validate(); err != nil {
-			return "", 0, nil, err
-		}
-		return "stream", 1, m.runStream(*sub.Run), nil
+		return sub.Kind, 1, m.runOne(*sub.Run, sub.Kind == journal.KindStream), nil
 	case journal.KindBatch:
 		if len(sub.Runs) == 0 {
 			return "", 0, nil, errors.New("service: empty batch")
@@ -591,49 +586,17 @@ func (m *Manager) jobFor(sub *journal.Submit) (kind string, total int, run func(
 // visible to its watchers, dropped at the next compaction — instead of
 // blocking startup.
 func (m *Manager) restore(sub journal.Submit) bool {
-	seq := 0
-	if n, err := strconv.Atoi(strings.TrimPrefix(sub.ID, "j")); err == nil {
-		seq = n
+	kind, total, run, err := m.jobFor(&sub)
+	if err != nil {
+		kind = sub.Kind
 	}
-	kind, total, run, ferr := m.jobFor(&sub)
-	jctx, jcancel := context.WithCancel(m.ctx)
-	j := &Job{
-		id:      sub.ID,
-		kind:    kind,
-		client:  sub.Client,
-		sub:     &sub,
-		state:   Queued,
-		total:   total,
-		created: time.Now(),
-		ctx:     jctx,
-		cancel:  jcancel,
-		watch:   make(chan struct{}),
-		run:     run,
-	}
-	if m.tracing() {
-		j.trc = trace.NewRing(maxJobTraceRecords)
-	}
-	if ferr != nil {
-		j.kind = sub.Kind
-	}
-	m.mu.Lock()
-	if _, dup := m.jobs[j.id]; dup || j.id == "" {
-		m.mu.Unlock()
-		jcancel()
+	j := m.newJob(sub.ID, kind, sub.Client, &sub, total, run)
+	if !m.adopt(j, err == nil) {
 		return false
 	}
-	if seq > m.seq {
-		m.seq = seq
-	}
-	m.jobs[j.id] = j
-	if ferr == nil {
-		m.pending = append(m.pending, j)
-		m.cond.Signal()
-	}
-	m.mu.Unlock()
-	if ferr != nil {
-		jcancel()
-		m.failJob(j, fmt.Errorf("journal replay: %w", ferr))
+	if err != nil {
+		j.cancel()
+		m.failJob(j, fmt.Errorf("journal replay: %w", err))
 		m.noteTerminal(j.id)
 		return false
 	}
@@ -650,36 +613,40 @@ func (m *Manager) restoreDone(cj journal.CompletedJob) bool {
 	if sub.ID == "" || len(cj.Body) == 0 {
 		return false
 	}
-	seq := 0
-	if n, err := strconv.Atoi(strings.TrimPrefix(sub.ID, "j")); err == nil {
-		seq = n
-	}
-	task := ""
+	j := m.newJob(sub.ID, sub.Kind, sub.Client, nil, 1, nil)
+	j.cancel() // already terminal; release the context immediately
+	j.state, j.done, j.result = Done, 1, cj.Body
+	j.started, j.finished = j.created, j.created
 	if sub.Run != nil {
-		task = sub.Run.Normalize().Benchmark + "/" + sub.Run.ControllerName()
+		j.task = taskName(*sub.Run)
 	}
-	now := time.Now()
-	jctx, jcancel := context.WithCancel(m.ctx)
-	j := &Job{
-		id: sub.ID, kind: sub.Kind, client: sub.Client,
-		state: Done, done: 1, total: 1, task: task,
-		result:  cj.Body,
-		created: now, started: now, finished: now,
-		ctx: jctx, cancel: jcancel, watch: make(chan struct{}),
-	}
-	m.mu.Lock()
-	if _, dup := m.jobs[j.id]; dup || j.id == "" {
-		m.mu.Unlock()
-		jcancel()
+	if !m.adopt(j, false) {
 		return false
 	}
-	if seq > m.seq {
+	m.noteTerminal(j.id)
+	return true
+}
+
+// adopt inserts a job replayed from the journal under its original ID,
+// advancing the ID sequence past it so new submissions never collide;
+// queue also appends it to the pending queue. An empty or duplicate ID
+// is refused and the job's context released.
+func (m *Manager) adopt(j *Job, queue bool) bool {
+	seq, err := strconv.Atoi(strings.TrimPrefix(j.id, "j"))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.jobs[j.id]; dup || j.id == "" {
+		j.cancel()
+		return false
+	}
+	if err == nil && seq > m.seq {
 		m.seq = seq
 	}
 	m.jobs[j.id] = j
-	m.mu.Unlock()
-	jcancel() // already terminal; release the context immediately
-	m.noteTerminal(j.id)
+	if queue {
+		m.pending = append(m.pending, j)
+		m.cond.Signal()
+	}
 	return true
 }
 
@@ -713,36 +680,54 @@ func (m *Manager) journalResult(j *Job, body []byte) {
 	}
 }
 
-// submitAs validates and enqueues one journaled submission on behalf of
-// client — the shared entry behind every Submit*As method.
-func (m *Manager) submitAs(client string, sub *journal.Submit) (*Job, error) {
-	kind, total, run, err := m.jobFor(sub)
-	if err != nil {
-		return nil, err
-	}
-	return m.enqueue(client, sub, kind, total, run)
+// taskName labels a run in job progress: "<benchmark>/<controller>".
+func taskName(r wire.RunRequest) string {
+	return r.Normalize().Benchmark + "/" + r.ControllerName()
 }
 
-// runRun is the run closure of a single-run job. It executes through
-// the stepped session (RunStream with no observer): byte-identical to
-// RunCachedBytes by the session contract, but the job's context is
+// runOne is the run closure of a single-run job, streamed or not. It
+// executes through the stepped session (wire.RunStream): byte-identical
+// to RunCachedBytes by the session contract, but the job's context is
 // consulted every control interval, so cancellation — DELETE, a
-// departed synchronous client, shutdown — aborts the simulation at the
-// next interval boundary instead of after the full window.
-func (m *Manager) runRun(r wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
+// departed client, shutdown — aborts the simulation at the next
+// interval boundary instead of after the full window; the partial
+// result is discarded and the job reports Failed with the context error.
+//
+// A stream job also publishes each measured interval on the job as it
+// is produced (the backing of the service's "stream" run mode; watchers
+// drain them with IntervalsSince), so it always runs locally: its
+// intervals must be produced in this process. Any other run goes to the
+// fabric when one is configured (runOrDispatch). A completed streamed
+// run stores bytes identical to a one-shot run of the same request, so
+// the follow-up identical request is a cache hit.
+func (m *Manager) runOne(r wire.RunRequest, stream bool) runFunc {
 	return func(ctx context.Context, j *Job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		body, hit, dispatched, err := m.runOrDispatch(ctx, r, func() ([]byte, bool, error) {
-			return r.RunStreamHooked(ctx, m.opts.Cache, m.runHooks(j, r, nil))
-		})
+		j.update(func(j *Job) { j.task = taskName(r) })
+		var emit func(stats.Interval)
+		if stream {
+			emit = j.pushInterval
+		}
+		local := func() ([]byte, bool, error) {
+			return r.RunStream(ctx, m.opts.Cache, m.runHooks(j, r, emit))
+		}
+		var (
+			body            []byte
+			hit, dispatched bool
+			err             error
+		)
+		if stream {
+			body, hit, err = local()
+		} else {
+			body, hit, dispatched, err = m.runOrDispatch(ctx, r, local)
+		}
 		if err != nil {
 			return nil, err
 		}
 		j.update(func(j *Job) {
 			j.done = 1
-			j.task = r.Normalize().Benchmark + "/" + r.ControllerName()
 			j.hit = hit
 			j.dispatched = dispatched
 		})
@@ -765,63 +750,11 @@ func (m *Manager) runOrDispatch(ctx context.Context, r wire.RunRequest, local fu
 	return body, hit, false, err
 }
 
-// SubmitRun enqueues one simulation run (see runRun for its execution
-// contract).
-func (m *Manager) SubmitRun(r wire.RunRequest) (*Job, error) {
-	return m.SubmitRunAs("", r)
-}
-
-// SubmitRunAs is SubmitRun with a client identity: the submission is
-// charged against the per-client quota and journaled for crash replay.
-func (m *Manager) SubmitRunAs(client string, r wire.RunRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindRun, Run: &r})
-}
-
-// runStream is the run closure of a stream job: the measured control
-// intervals are published on the job as they are produced (the backing
-// of the service's "stream" run mode), watchers drain them with
-// IntervalsSince, interleaved with the usual progress snapshots.
-// Cancellation — DELETE, a departed client, shutdown — closes the
-// stepped session at the next interval boundary; the partial result is
-// discarded and the job reports Failed with the context error. A
-// completed streamed run stores bytes identical to a one-shot run of
-// the same request, so the follow-up identical request is a cache hit.
-func (m *Manager) runStream(r wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
-	return func(ctx context.Context, j *Job) ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		j.update(func(j *Job) {
-			j.task = r.Normalize().Benchmark + "/" + r.ControllerName()
-		})
-		body, hit, err := r.RunStreamHooked(ctx, m.opts.Cache, m.runHooks(j, r, j.pushInterval))
-		if err != nil {
-			return nil, err
-		}
-		j.update(func(j *Job) {
-			j.done = 1
-			j.hit = hit
-		})
-		return body, nil
-	}
-}
-
-// SubmitStream enqueues one streamed simulation run (see runStream).
-func (m *Manager) SubmitStream(r wire.RunRequest) (*Job, error) {
-	return m.SubmitStreamAs("", r)
-}
-
-// SubmitStreamAs is SubmitStream with a client identity for quota
-// accounting and crash-replayable journaling.
-func (m *Manager) SubmitStreamAs(client string, r wire.RunRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindStream, Run: &r})
-}
-
 // runBatch is the run closure of a batch job: the runs fan out through
 // mcd.RunBatch on the manager's worker bound and result store; the
 // result body is a JSON array of canonical result encodings in
 // submission order.
-func (m *Manager) runBatch(reqs []wire.RunRequest) func(ctx context.Context, j *Job) ([]byte, error) {
+func (m *Manager) runBatch(reqs []wire.RunRequest) runFunc {
 	return func(ctx context.Context, j *Job) ([]byte, error) {
 		// Each run keeps its canonical body (indexes are distinct, so
 		// the slice needs no lock); the assembled array reuses those
@@ -830,10 +763,8 @@ func (m *Manager) runBatch(reqs []wire.RunRequest) func(ctx context.Context, j *
 		batch := make([]mcd.RunRequest, len(reqs))
 		var anyDispatched atomic.Bool
 		for i, r := range reqs {
-			i, r := i, r
-			n := r.Normalize()
 			batch[i] = mcd.RunRequest{
-				Name: fmt.Sprintf("%s/%s", n.Benchmark, r.ControllerName()),
+				Name: taskName(r),
 				Do: func(tctx context.Context) (mcd.Result, error) {
 					b, _, dispatched, err := m.runOrDispatch(tctx, r, func() ([]byte, bool, error) {
 						return r.RunCachedBytes(m.opts.Cache)
@@ -874,20 +805,9 @@ func (m *Manager) runBatch(reqs []wire.RunRequest) func(ctx context.Context, j *
 	}
 }
 
-// SubmitBatch enqueues a set of runs (see runBatch).
-func (m *Manager) SubmitBatch(reqs []wire.RunRequest) (*Job, error) {
-	return m.SubmitBatchAs("", reqs)
-}
-
-// SubmitBatchAs is SubmitBatch with a client identity for quota
-// accounting and crash-replayable journaling.
-func (m *Manager) SubmitBatchAs(client string, reqs []wire.RunRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindBatch, Runs: reqs})
-}
-
 // runExperiment is the run closure of a whole table/figure/sweep; the
 // result body is the canonical wire.ExperimentResult encoding.
-func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Context, j *Job) ([]byte, error) {
+func (m *Manager) runExperiment(e wire.ExperimentRequest) runFunc {
 	return func(ctx context.Context, j *Job) ([]byte, error) {
 		opts := e.Options()
 		opts.Workers = m.opts.Workers
@@ -912,17 +832,6 @@ func (m *Manager) runExperiment(e wire.ExperimentRequest) func(ctx context.Conte
 		}
 		return wire.EncodeExperiment(res)
 	}
-}
-
-// SubmitExperiment enqueues a whole experiment (see runExperiment).
-func (m *Manager) SubmitExperiment(e wire.ExperimentRequest) (*Job, error) {
-	return m.SubmitExperimentAs("", e)
-}
-
-// SubmitExperimentAs is SubmitExperiment with a client identity for
-// quota accounting and crash-replayable journaling.
-func (m *Manager) SubmitExperimentAs(client string, e wire.ExperimentRequest) (*Job, error) {
-	return m.submitAs(client, &journal.Submit{Kind: journal.KindExperiment, Experiment: &e})
 }
 
 // maxTerminalIntervalLogs is how many finished jobs keep their interval
@@ -1076,7 +985,7 @@ type Job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	run    func(ctx context.Context, j *Job) ([]byte, error)
+	run    runFunc
 
 	mu         sync.Mutex
 	state      State

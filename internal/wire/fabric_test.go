@@ -37,7 +37,7 @@ func TestCellRequestSharesAddress(t *testing.T) {
 		mu.Lock()
 		cells++
 		mu.Unlock()
-		body, _, err := req.RunStreamHooked(ctx, nil, wire.RunHooks{})
+		body, _, err := req.RunStream(ctx, nil, wire.RunHooks{})
 		return body, err
 	})
 	got := bench.Table6(hooked.RunAll())

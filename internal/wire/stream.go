@@ -71,13 +71,12 @@ func GapFrame(n int) StreamFrame {
 	return StreamFrame{Type: FrameGap, Dropped: n}
 }
 
-// RunHooks bundles the optional observation points of RunStreamHooked.
+// RunHooks bundles the optional observation points of RunStream.
 // Every hook may be nil; the zero value is an unobserved run. Hooks run
 // on the simulating goroutine and must be cheap relative to a control
 // interval — the tracing layer records a fixed-size value per call.
 type RunHooks struct {
-	// Emit receives every measured control interval as it is produced
-	// (RunStream's observer).
+	// Emit receives every measured control interval as it is produced.
 	Emit func(stats.Interval)
 	// Cache observes the result-store phases of the request: probe
 	// outcome and tier, compute bracket, disk persist bracket.
@@ -91,23 +90,18 @@ type RunHooks struct {
 	Decide func(iv stats.Interval, chosen [clock.NumControllable]float64, note string)
 }
 
-// RunStream executes the request through a stepped simulation session,
-// calling emit with every measured control interval as it is produced,
+// RunStream executes the request through a stepped simulation session
 // and returns the canonical result body — byte-identical to
 // RunCachedBytes for the same request, so a completed streamed run
-// stores the same SpecKey → Result bytes as a one-shot run. A cache hit
-// (including joining an identical in-flight computation) returns the
-// stored bytes without simulating and emits nothing. Cancelling ctx
-// closes the session at the next interval boundary and returns
-// ctx.Err(); the partial result is discarded, never stored.
-func (r RunRequest) RunStream(ctx context.Context, c *resultcache.Cache, emit func(stats.Interval)) (body []byte, hit bool, err error) {
-	return r.RunStreamHooked(ctx, c, RunHooks{Emit: emit})
-}
-
-// RunStreamHooked is RunStream with the full observation surface (see
-// RunHooks); RunStream is exactly RunStreamHooked with only Emit set,
-// so the two share one execution contract and one byte-identity story.
-func (r RunRequest) RunStreamHooked(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
+// stores the same SpecKey → Result bytes as a one-shot run. The hooks
+// observe it as it runs (see RunHooks; the zero value is an unobserved
+// run): h.Emit receives every measured control interval as it is
+// produced. A cache hit (including joining an identical in-flight
+// computation) returns the stored bytes without simulating and emits
+// nothing. Cancelling ctx closes the session at the next interval
+// boundary and returns ctx.Err(); the partial result is discarded, never
+// stored.
+func (r RunRequest) RunStream(ctx context.Context, c *resultcache.Cache, h RunHooks) (body []byte, hit bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

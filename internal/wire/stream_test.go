@@ -33,9 +33,9 @@ func TestRunStreamMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var frames []stats.Interval
-	got, hit, err := req.RunStream(context.Background(), nil, func(iv stats.Interval) {
+	got, hit, err := req.RunStream(context.Background(), nil, RunHooks{Emit: func(iv stats.Interval) {
 		frames = append(frames, iv)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunStreamPopulatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := streamReq()
-	first, hit, err := req.RunStream(context.Background(), c, nil)
+	first, hit, err := req.RunStream(context.Background(), c, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunStreamPopulatesCache(t *testing.T) {
 		t.Error("cold cache reported a hit")
 	}
 	emitted := 0
-	second, hit, err := req.RunStream(context.Background(), c, func(stats.Interval) { emitted++ })
+	second, hit, err := req.RunStream(context.Background(), c, RunHooks{Emit: func(stats.Interval) { emitted++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestRunStreamCancelled(t *testing.T) {
 	req := streamReq()
 	ctx, cancel := context.WithCancel(context.Background())
 	frames := 0
-	_, _, err = req.RunStream(ctx, c, func(stats.Interval) {
+	_, _, err = req.RunStream(ctx, c, RunHooks{Emit: func(stats.Interval) {
 		frames++
 		if frames == 2 {
 			cancel()
 		}
-	})
+	}})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
