@@ -81,8 +81,13 @@ type Core struct {
 	// the same float64 the clock holds, so results are unchanged.
 	periods [clock.NumControllable]float64
 	// wake is the per-tick wakeup context handed to the issue-queue CAM
-	// scans; Periods aliases c.periods and Ring the completion ring.
+	// scans; its period table mirrors c.periods (written through
+	// SetPeriod) and Ring is the completion ring.
 	wake queue.Wakeup
+	// idleScans counts, per domain, the ticks whose wakeup/select scan was
+	// skipped because the queue's idle mark proved it would find nothing
+	// (not part of a warm snapshot; diagnostics only).
+	idleScans [clock.NumControllable]uint64
 
 	meter *power.Meter
 	pred  *branch.Predictor
@@ -222,6 +227,7 @@ func (c *Core) Reset(cfg Config, gen workload.Generator) {
 	c.ctrlQuiet = 0
 	c.stretchPenSum, c.stretchPenN = 0, 0
 	c.walkS, c.walkOff = -1, 0
+	c.idleScans = [clock.NumControllable]uint64{}
 	// The previous Result owns the recorded intervals; never reuse them.
 	c.intervals = nil
 }
@@ -350,8 +356,10 @@ func (c *Core) Start(opts RunOptions) {
 	c.wake = queue.Wakeup{
 		SingleClock:  cfg.SingleClock,
 		SyncWindowPS: cfg.SyncWindowPS,
-		Periods:      c.periods,
 		Ring:         c.ring,
+	}
+	for d, p := range c.periods {
+		c.wake.SetPeriod(d, p)
 	}
 	c.intRegsFree = cfg.IntRenameRegs
 	c.fpRegsFree = cfg.FPRenameRegs
@@ -398,7 +406,7 @@ func (c *Core) StepIntervals(n int) bool {
 			c.curFreq[d] = f
 			c.sched.SetFrequencyMHz(d, f)
 			c.periods[d] = c.clks[d].PeriodPS()
-			c.wake.Periods[d] = c.periods[d]
+			c.wake.SetPeriod(int(d), c.periods[d])
 		}
 		c.freqIntegral[d] += f * dt
 		c.last[d] = t
@@ -735,6 +743,11 @@ func (c *Core) intTick(t float64) {
 	c.meter.Access(power.IntCAM, v, occ)
 
 	c.wake.SetTick(t, uint8(d))
+	if c.iiq.Idle(&c.wake) {
+		c.idleScans[d]++
+		c.meter.ClockTick(d, v, occ > 0)
+		return
+	}
 	// One fused CAM walk selects both pipes (the class sets are
 	// disjoint); the ALU selections are processed before the multiplier
 	// ones, exactly as the two-pass formulation did. Completions stamped
@@ -789,6 +802,11 @@ func (c *Core) fpTick(t float64) {
 	c.meter.Access(power.FPCAM, v, occ)
 
 	c.wake.SetTick(t, uint8(d))
+	if c.fiq.Idle(&c.wake) {
+		c.idleScans[d]++
+		c.meter.ClockTick(d, v, occ > 0)
+		return
+	}
 	// Fused two-pipe walk; see intTick for the ordering argument.
 	c.selBuf, c.selBuf2 = c.fiq.SelectReady2(
 		c.cfg.FPALUs, fpALUClasses, c.cfg.FPMuls, fpMulClasses,
@@ -824,12 +842,20 @@ func (c *Core) lsTick(t float64) {
 	c.ivTicks[d]++
 	c.meter.Access(power.LSQCAM, v, occ)
 
+	c.wake.SetTick(t, uint8(d))
+	if c.lsq.Idle(&c.wake) {
+		c.idleScans[d]++
+		c.meter.ClockTick(d, v, occ > 0)
+		return
+	}
 	ports := c.cfg.MemPorts
 	issuedAny := false
 	c.storeBuf = c.storeBuf[:0]
 	allIssued := true // all older stores issued so far in the scan
-	c.wake.SetTick(t, uint8(d))
-	wk := c.wake // registerized copy, as in the issue-queue scans
+	// Hoisted visibility operands, as in the issue-queue scans; until
+	// bounds from below the time any entry still waiting can issue.
+	ops := c.wake.Operands()
+	until := math.Inf(1)
 
 	for i := range entries {
 		e := &entries[i]
@@ -840,21 +866,32 @@ func (c *Core) lsTick(t float64) {
 			break
 		}
 		if e.IsStore {
-			if !e.Issued && e.VisibleAt <= t &&
-				wk.SrcReady(e.Src1) && wk.SrcReady(e.Src2) {
-				// Address resolution; data is written at retirement, but
-				// the access energy belongs to the store.
-				e.Issued = true
-				e.DoneAt = t + period
-				c.complete(e.Seq, e.DoneAt)
-				_, l2 := c.hier.Data(e.Addr)
-				c.meter.Access(power.LSQ, v, 1)
-				c.meter.Access(power.DCache, v, 1)
-				if l2 {
-					c.meter.Access(power.L2Cache, v, 1)
+			if !e.Issued {
+				// wait ends as the first ready threshold t has not
+				// reached, as in the issue-queue scans.
+				wait := e.VisibleAt
+				if t >= wait {
+					if wait = ops.SrcAt(e.Src1); t >= wait {
+						wait = ops.SrcAt(e.Src2)
+					}
 				}
-				ports--
-				issuedAny = true
+				if t >= wait {
+					// Address resolution; data is written at retirement,
+					// but the access energy belongs to the store.
+					e.Issued = true
+					e.DoneAt = t + period
+					c.complete(e.Seq, e.DoneAt)
+					_, l2 := c.hier.Data(e.Addr)
+					c.meter.Access(power.LSQ, v, 1)
+					c.meter.Access(power.DCache, v, 1)
+					if l2 {
+						c.meter.Access(power.L2Cache, v, 1)
+					}
+					ports--
+					issuedAny = true
+				} else if wait < until {
+					until = wait
+				}
 			}
 			c.storeBuf = append(c.storeBuf, storeRec{block: e.Block, issued: e.Issued})
 			if !e.Issued {
@@ -863,15 +900,23 @@ func (c *Core) lsTick(t float64) {
 			continue
 		}
 
-		if e.Issued {
-			continue
-		}
-		if e.VisibleAt > t || !wk.SrcReady(e.Src1) || !wk.SrcReady(e.Src2) {
-			continue
-		}
 		// Loads wait until every older store address is known, then
 		// forward from the youngest matching store or access the cache.
-		if !allIssued {
+		// A load behind a waiting store cannot issue before that store
+		// does, and the store's own ready time is already in until.
+		if e.Issued || !allIssued {
+			continue
+		}
+		wait := e.VisibleAt
+		if t >= wait {
+			if wait = ops.SrcAt(e.Src1); t >= wait {
+				wait = ops.SrcAt(e.Src2)
+			}
+		}
+		if t < wait {
+			if wait < until {
+				until = wait
+			}
 			continue
 		}
 		forwarded := false
@@ -905,6 +950,9 @@ func (c *Core) lsTick(t float64) {
 		if l2 {
 			c.meter.Access(power.L2Cache, v, 1)
 		}
+	}
+	if !issuedAny {
+		c.lsq.MarkIdle(&c.wake, until)
 	}
 
 	c.meter.ClockTick(d, v, issuedAny || occ > 0)

@@ -498,7 +498,7 @@ func (c *Core) fastForwardInterval() {
 			c.curFreq[d] = f
 			c.clks[d].SetFrequencyMHz(f)
 			c.periods[d] = c.clks[d].PeriodPS()
-			c.wake.Periods[d] = c.periods[d]
+			c.wake.SetPeriod(d, c.periods[d])
 		}
 		c.clks[d].FastForwardTo(newNow)
 		c.last[d] = newNow

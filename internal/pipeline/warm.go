@@ -195,7 +195,9 @@ func (c *Core) RestoreWarm(w *WarmState) {
 	c.occupSum = w.occupSum
 	c.ivTicks = w.ivTicks
 	c.freqIntegral = w.freqIntegral
-	c.wake.Periods = c.periods
+	for d, p := range c.periods {
+		c.wake.SetPeriod(d, p)
+	}
 	c.sched.Refresh()
 
 	c.intRegsFree = w.intRegsFree

@@ -46,94 +46,129 @@ func (m ClassMask) Has(c workload.Class) bool { return m&(1<<c) != 0 }
 // Wakeup carries one domain tick's readiness parameters: the CAM scan of
 // every issue structure evaluates the same visibility rule, so the
 // pipeline fills one Wakeup per tick and the queues test entries against
-// it directly. Periods is indexed by producer domain and is a value
-// copy — domain periods only move between ticks, never inside one, so
-// the scan reads it from the stack; the pipeline refreshes it whenever a
-// clock is reprogrammed. The floating-point expressions below reproduce
-// pipeline.Core's cross-domain visibility rule operation-for-operation,
-// which byte-identical results depend on.
+// it directly. The period table is indexed by producer domain and only
+// changes through SetPeriod — domain periods only move between ticks,
+// never inside one — which also bumps the generation that idle marks
+// compare against. SingleClock, SyncWindowPS and Ring are set once, when
+// the Wakeup is built. The floating-point expressions of Operands and
+// SrcAt reproduce pipeline.Core's cross-domain visibility rule
+// operation-for-operation, which byte-identical results depend on.
 type Wakeup struct {
 	Now          float64
 	Domain       uint8 // consuming domain
 	SingleClock  bool
 	SyncWindowPS float64
-	Periods      [4]float64 // current period of each controllable domain, ps
 	Ring         *CompletionRing
 
-	// subPS/addPS fold the per-producer-domain visibility rule into two
-	// tabulated operands, refreshed by SetTick: a producer in domain p is
-	// visible at done − subPS[p] + addPS[p]. Same-domain (and
-	// single-clock) producers use the half-cycle guard with addPS = 0 —
-	// adding zero is exact, so the value ordering is unchanged — and
-	// cross-domain producers use the full producer period plus the
-	// synchronization window, the exact expression pipeline.Core.xvisible
-	// evaluates. Keeping the rule as data lets the CAM scan's source test
-	// inline.
-	subPS [4]float64
-	addPS [4]float64
+	periods [4]float64 // current period of each controllable domain, ps
+	gen     uint64     // bumped when a period grows; see SetPeriod
 }
 
-// SetTick points the wakeup context at one domain tick: the scan time,
-// the consuming domain, and the folded visibility operands for the
-// current period table.
-func (w *Wakeup) SetTick(now float64, dom uint8) {
-	w.Now, w.Domain = now, dom
+// SetPeriod records domain d's current clock period, in ps. Only a
+// longer period bumps the generation: a producer's visibility time
+// done − sub + add (see Operands) falls as its period grows and rises
+// or stays as it shrinks — subtraction rounds monotonically — so a
+// shrinking period can only delay readiness, which leaves every idle
+// mark sound.
+func (w *Wakeup) SetPeriod(d int, ps float64) {
+	if ps > w.periods[d] {
+		w.gen++
+	}
+	w.periods[d] = ps
+}
+
+// SetTick points the wakeup context at one domain tick: the scan time
+// and the consuming domain.
+func (w *Wakeup) SetTick(now float64, dom uint8) { w.Now, w.Domain = now, dom }
+
+// Operands are one tick's visibility operands, copied out of the Wakeup
+// so a scan keeps them in locals across its walk (the compiler cannot
+// otherwise prove that the scan's entry writes don't alias the Wakeup).
+//
+// sub/add fold the per-producer-domain visibility rule into two tabulated
+// operands: a producer in domain p is visible at done − sub[p] + add[p].
+// Same-domain (and single-clock) producers use the half-cycle guard with
+// add = 0 — adding zero is exact, so the value ordering is unchanged —
+// and cross-domain producers use the full producer period plus the
+// synchronization window, the exact expression pipeline.Core.xvisible
+// evaluates. Keeping the rule as data lets the scan's source test inline.
+type Operands struct {
+	slots    []ringSlot
+	mask     uint64
+	sub, add [4]float64
+}
+
+// ancient is the visibility time of a producer that is absent or long
+// retired.
+var ancient = math.Inf(-1)
+
+// Operands returns the visibility operands of the current tick. A scan
+// builds them once; a skipped tick never does.
+func (w *Wakeup) Operands() Operands {
+	o := Operands{slots: w.Ring.slots, mask: w.Ring.mask}
 	for p := 0; p < 4; p++ {
-		if w.SingleClock || uint8(p) == dom {
-			w.subPS[p] = 0.5 * w.Periods[p]
-			w.addPS[p] = 0
+		if w.SingleClock || uint8(p) == w.Domain {
+			o.sub[p] = 0.5 * w.periods[p]
 		} else {
-			w.subPS[p] = w.Periods[p]
-			w.addPS[p] = w.SyncWindowPS
+			o.sub[p] = w.periods[p]
+			o.add[p] = w.SyncWindowPS
 		}
 	}
+	return o
 }
 
-// SrcReady reports whether producer src's result is visible in the
-// consuming domain at Now. Within a domain (and in the fully synchronous
+// SrcAt returns the time producer src's result becomes visible in the
+// consuming domain. Within a domain (and in the fully synchronous
 // configuration) the completion time minus a half-cycle guard is the
 // bypass point; across domains the wakeup broadcast launches one producer
 // cycle early and must clear the synchronization window (see
-// pipeline.Core's clocking-model commentary). Overwritten or never-seen
-// producers are ancient history, hence visible.
-func (w *Wakeup) SrcReady(src int64) bool {
+// pipeline.Core's clocking-model commentary). Absent, overwritten and
+// never-seen producers are ancient history: −Inf. An in-flight producer
+// is +Inf.
+func (o *Operands) SrcAt(src int64) float64 {
 	if src < 0 {
-		return true
+		return ancient
 	}
-	s := w.Ring.slots[uint64(src)&w.Ring.mask]
+	s := o.slots[uint64(src)&o.mask]
 	if s.meta&ringSeqMask != uint64(src) {
-		return true
+		return ancient
 	}
-	prod := (s.meta >> ringSeqBits) & 3 // producers are the three exec domains
-	return w.Now >= s.doneAt-w.subPS[prod]+w.addPS[prod]
+	p := (s.meta >> ringSeqBits) & 3 // producers are the three exec domains
+	return s.doneAt - o.sub[p] + o.add[p]
 }
 
-// Ready reports whether entry e itself has crossed into the domain and
-// both its sources are visible.
-func (w *Wakeup) Ready(e *Entry) bool {
-	return e.VisibleAt <= w.Now && w.SrcReady(e.Src1) && w.SrcReady(e.Src2)
+// idleMark is a scan's proof that the next scans would find nothing: the
+// last scan selected nothing and no entry it saw can be ready before
+// until. The proof holds while nothing readiness reads has changed — the
+// queue's own entries (the owning queue clears the mark on Push, Reset,
+// CopyFrom and ShiftTimes), the completion ring (its write count), the
+// producer periods (the Wakeup's generation) and the consuming domain.
+// Removing entries needs no invalidation: it cannot make another entry
+// ready. Between the resets that clear the mark, time, the write count
+// and the generation only move forward, so once a mark fails in its own
+// domain it never holds again, and a scan that selects or issues need
+// not clear it.
+type idleMark struct {
+	until float64
+	ring  uint64
+	gen   uint64
+	dom   uint8
+	valid bool
 }
 
-// srcReady is SrcReady over explicitly hoisted operands: the CAM scans
-// load the wakeup parameters into locals once, and this form inlines
-// with every operand already registerized (the compiler cannot otherwise
-// prove the scans' entry writes don't alias the Wakeup).
-func srcReady(slots []ringSlot, mask uint64, sub, add *[4]float64, now float64, src int64) bool {
-	if src < 0 {
-		return true
-	}
-	s := slots[uint64(src)&mask]
-	if s.meta&ringSeqMask != uint64(src) {
-		return true
-	}
-	p := (s.meta >> ringSeqBits) & 3
-	return now >= s.doneAt-sub[p]+add[p]
+func (m *idleMark) holds(w *Wakeup) bool {
+	return m.valid && w.Now < m.until && m.ring == w.Ring.writes && m.gen == w.gen && m.dom == w.Domain
+}
+
+func (m *idleMark) set(w *Wakeup, until float64) {
+	*m = idleMark{until: until, ring: w.Ring.writes, gen: w.gen, dom: w.Domain, valid: true}
 }
 
 // IssueQueue is a small in-order-storage, out-of-order-select queue.
 type IssueQueue struct {
 	entries []Entry
 	cap     int
+	idle    idleMark
 }
 
 // NewIssueQueue returns a queue with the given capacity.
@@ -149,6 +184,7 @@ func (q *IssueQueue) Reset(capacity int) {
 		return
 	}
 	q.entries = q.entries[:0]
+	q.idle.valid = false
 }
 
 // Len returns current occupancy; Cap the capacity; Free the open slots.
@@ -162,11 +198,12 @@ func (q *IssueQueue) Push(e Entry) bool {
 		return false
 	}
 	q.entries = append(q.entries, e)
+	q.idle.valid = false
 	return true
 }
 
 // Clone returns a deep copy — an independent snapshot for checkpointed
-// warmup reuse.
+// warmup reuse. The copy carries no idle mark.
 func (q *IssueQueue) Clone() *IssueQueue {
 	c := &IssueQueue{entries: make([]Entry, len(q.entries), q.cap), cap: q.cap}
 	copy(c.entries, q.entries)
@@ -178,6 +215,7 @@ func (q *IssueQueue) Clone() *IssueQueue {
 func (q *IssueQueue) CopyFrom(src *IssueQueue) {
 	q.entries = append(q.entries[:0], src.entries...)
 	q.cap = src.cap
+	q.idle.valid = false
 }
 
 // ShiftTimes adds dt to every resident entry's visibility time. The
@@ -190,73 +228,35 @@ func (q *IssueQueue) ShiftTimes(dt float64) {
 	for i := range q.entries {
 		q.entries[i].VisibleAt += dt
 	}
+	q.idle.valid = false
 }
 
-// SelectReady removes and returns up to max entries whose class is in
-// classes and that are ready under w, oldest first, appending to out.
-// The scan models the wakeup/select CAM: every resident entry is
-// examined, with no indirect calls. Compaction starts only at the first
-// selected entry, so a scan that issues nothing (the common case) writes
-// nothing back.
-func (q *IssueQueue) SelectReady(max int, classes ClassMask, w *Wakeup, out []Entry) []Entry {
-	if max <= 0 || len(q.entries) == 0 {
-		return out
-	}
-	// The wakeup parameters are hoisted into locals so they stay
-	// registerized across the scan (the compiler cannot prove the entry
-	// writes below don't alias *w); readiness below is exactly
-	// Wakeup.Ready over them.
-	var slots []ringSlot
-	var rmask uint64
-	if r := w.Ring; r != nil { // entries without sources never consult it
-		slots, rmask = r.slots, r.mask
-	}
-	subv, addv := w.subPS, w.addPS
-	now := w.Now
-	wr := -1
-	for i := range q.entries {
-		e := &q.entries[i]
-		if max > 0 && classes.Has(e.Class) && e.VisibleAt <= now &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src1) &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src2) {
-			out = append(out, *e)
-			max--
-			if wr < 0 {
-				wr = i
-			}
-			continue
-		}
-		if wr >= 0 {
-			q.entries[wr] = *e
-			wr++
-		}
-	}
-	if wr >= 0 {
-		q.entries = q.entries[:wr]
-	}
-	return out
-}
+// Idle reports whether a select at w.Now would provably select nothing:
+// the last scan found nothing ready and recorded, in an idle mark, the
+// earliest time any entry can become ready; nothing that readiness reads
+// has changed since and w.Now is still before that time. The caller may
+// then skip the scan.
+func (q *IssueQueue) Idle(w *Wakeup) bool { return q.idle.holds(w) }
 
-// SelectReady2 performs two disjoint selections in one CAM walk — the
-// per-domain tick issues its ALU-class and multiplier-class pipes from
-// the same queue, and fusing the passes halves the scan. Because the
-// class sets are disjoint, the selections are exactly those the two
-// corresponding SelectReady passes would make; callers process out1
-// completely before out2 to keep side-effect order identical to the
-// two-pass formulation.
+// SelectReady2 removes and returns ready entries for two issue pipes in
+// one CAM walk — the per-domain tick issues its ALU-class and
+// multiplier-class pipes from the same queue. Pipe 1 takes up to max1
+// entries whose class is in c1, pipe 2 up to max2 in c2; the class sets
+// are disjoint and selection is oldest first. Callers process out1
+// completely before out2. Every resident entry is examined, with no
+// indirect calls; compaction starts only at the first selected entry, so
+// a scan that issues nothing (the common case) writes no entry back and
+// instead leaves the idle mark Idle reads.
 func (q *IssueQueue) SelectReady2(max1 int, c1 ClassMask, max2 int, c2 ClassMask, w *Wakeup, out1, out2 []Entry) ([]Entry, []Entry) {
-	if len(q.entries) == 0 || (max1 <= 0 && max2 <= 0) {
+	if max1 <= 0 && max2 <= 0 {
 		return out1, out2
 	}
-	// Hoisted wakeup parameters; see SelectReady. Each entry is willing
-	// for at most one pipe, so the readiness test runs at most once.
-	var slots []ringSlot
-	var rmask uint64
-	if r := w.Ring; r != nil { // entries without sources never consult it
-		slots, rmask = r.slots, r.mask
-	}
-	subv, addv := w.subPS, w.addPS
+	ops := w.Operands()
 	now := w.Now
+	// until bounds from below the time any unselected entry can become
+	// ready. Each entry contributes its first unmet threshold; that is
+	// all a mark needs, and the scan it lets through refines it.
+	until := math.Inf(1)
 	wr := -1
 	for i := range q.entries {
 		e := &q.entries[i]
@@ -266,29 +266,46 @@ func (q *IssueQueue) SelectReady2(max1 int, c1 ClassMask, max2 int, c2 ClassMask
 		} else if max2 > 0 && c2.Has(e.Class) {
 			pipe = 2
 		}
-		if pipe != 0 && e.VisibleAt <= now &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src1) &&
-			srcReady(slots, rmask, &subv, &addv, now, e.Src2) {
-			if pipe == 1 {
-				out1 = append(out1, *e)
-				max1--
-			} else {
-				out2 = append(out2, *e)
-				max2--
-			}
+		if pipe == 0 {
+			// No pipe takes this entry now; a later scan with free pipes
+			// might, so no idle mark can cover it.
+			until = math.Inf(-1)
 		} else {
-			if wr >= 0 {
-				q.entries[wr] = *e
-				wr++
+			// wait ends as the first of the entry's ready thresholds —
+			// its own visibility, then each source's — that now has not
+			// reached, or as the last one when now has reached them all.
+			wait := e.VisibleAt
+			if now >= wait {
+				if wait = ops.SrcAt(e.Src1); now >= wait {
+					wait = ops.SrcAt(e.Src2)
+				}
 			}
-			continue
+			if now >= wait {
+				if pipe == 1 {
+					out1 = append(out1, *e)
+					max1--
+				} else {
+					out2 = append(out2, *e)
+					max2--
+				}
+				if wr < 0 {
+					wr = i
+				}
+				continue
+			}
+			if wait < until {
+				until = wait
+			}
 		}
-		if wr < 0 {
-			wr = i
+		if wr >= 0 {
+			q.entries[wr] = *e
+			wr++
 		}
 	}
 	if wr >= 0 {
 		q.entries = q.entries[:wr]
+	} else {
+		q.idle.set(w, until)
 	}
 	return out1, out2
 }
@@ -302,9 +319,14 @@ func (q *IssueQueue) SelectReady2(max1 int, c1 ClassMask, max2 int, c2 ClassMask
 // the completion time — so the wakeup scan's lookups touch one cache line
 // instead of three parallel arrays. Seqs are limited to 2⁵⁶−1, ten
 // orders of magnitude beyond any simulated window.
+//
+// writes counts the changes any wakeup test could observe — Dispatch, a
+// Complete that lands, Reset, CopyFrom and ShiftTimes — so an idle mark
+// can tell that no producer's visibility moved since it was taken.
 type CompletionRing struct {
-	slots []ringSlot
-	mask  uint64
+	slots  []ringSlot
+	mask   uint64
+	writes uint64
 }
 
 type ringSlot struct {
@@ -336,9 +358,11 @@ func (r *CompletionRing) Reset() {
 	for i := range r.slots {
 		r.slots[i] = emptySlot
 	}
+	r.writes++
 }
 
-// Clone returns a deep copy for checkpointed warmup reuse.
+// Clone returns a deep copy for checkpointed warmup reuse. The write
+// count is not part of the state.
 func (r *CompletionRing) Clone() *CompletionRing {
 	c := &CompletionRing{slots: make([]ringSlot, len(r.slots)), mask: r.mask}
 	copy(c.slots, r.slots)
@@ -350,6 +374,7 @@ func (r *CompletionRing) Clone() *CompletionRing {
 func (r *CompletionRing) CopyFrom(src *CompletionRing) {
 	copy(r.slots, src.slots)
 	r.mask = src.mask
+	r.writes++
 }
 
 // ShiftTimes adds dt to every slot's completion time, preserving each
@@ -359,6 +384,7 @@ func (r *CompletionRing) ShiftTimes(dt float64) {
 	for i := range r.slots {
 		r.slots[i].doneAt += dt
 	}
+	r.writes++
 }
 
 // Dispatch registers seq as in flight in the given domain.
@@ -367,6 +393,7 @@ func (r *CompletionRing) Dispatch(seq uint64, domain uint8) {
 		meta:   seq | uint64(domain)<<ringSeqBits,
 		doneAt: math.Inf(1),
 	}
+	r.writes++
 }
 
 // Complete records seq's completion time.
@@ -374,6 +401,7 @@ func (r *CompletionRing) Complete(seq uint64, t float64) {
 	s := &r.slots[seq&r.mask]
 	if s.meta&ringSeqMask == seq {
 		s.doneAt = t
+		r.writes++
 	}
 }
 
@@ -514,11 +542,16 @@ type LSQEntry struct {
 	DoneAt    float64 // +Inf until the access (or store address resolve) completes
 }
 
-// LSQ is the load/store queue.
+// LSQ is the load/store queue. Its issue scan lives in the pipeline,
+// which records an idle scan with MarkIdle; the queue clears the mark
+// whenever its own entries change (Push, Reset, CopyFrom, ShiftTimes).
+// Retire needs no invalidation: it only removes the oldest entry, which
+// has issued.
 type LSQ struct {
 	entries   []LSQEntry
 	cap       int
 	blockBits uint
+	idle      idleMark
 }
 
 // NewLSQ returns a load/store queue with the given capacity and cache
@@ -545,6 +578,7 @@ func (l *LSQ) Reset(capacity, blockBytes int) {
 	}
 	l.blockBits = bb
 	l.entries = l.entries[:0]
+	l.idle.valid = false
 }
 
 // Len returns occupancy; Cap capacity; Free open slots.
@@ -552,7 +586,8 @@ func (l *LSQ) Len() int  { return len(l.entries) }
 func (l *LSQ) Cap() int  { return l.cap }
 func (l *LSQ) Free() int { return l.cap - len(l.entries) }
 
-// Clone returns a deep copy for checkpointed warmup reuse.
+// Clone returns a deep copy for checkpointed warmup reuse. The copy
+// carries no idle mark.
 func (l *LSQ) Clone() *LSQ {
 	c := &LSQ{entries: make([]LSQEntry, len(l.entries), l.cap), cap: l.cap, blockBits: l.blockBits}
 	copy(c.entries, l.entries)
@@ -565,6 +600,7 @@ func (l *LSQ) CopyFrom(src *LSQ) {
 	l.entries = append(l.entries[:0], src.entries...)
 	l.cap = src.cap
 	l.blockBits = src.blockBits
+	l.idle.valid = false
 }
 
 // ShiftTimes adds dt to every resident entry's visibility and completion
@@ -574,6 +610,7 @@ func (l *LSQ) ShiftTimes(dt float64) {
 		l.entries[i].VisibleAt += dt
 		l.entries[i].DoneAt += dt
 	}
+	l.idle.valid = false
 }
 
 // Push appends a memory op in program order, reporting false when full.
@@ -583,35 +620,24 @@ func (l *LSQ) Push(e LSQEntry) bool {
 	}
 	e.Block = e.Addr >> l.blockBits
 	l.entries = append(l.entries, e)
+	l.idle.valid = false
 	return true
 }
 
 // Entries exposes the backing slice for the issue scan. Callers may mutate
-// Issued/DoneAt in place.
+// Issued/DoneAt in place; a scan that issues completes what it issued in
+// the completion ring, which retires any idle mark.
 func (l *LSQ) Entries() []LSQEntry { return l.entries }
 
-// OlderStores inspects stores older than the entry at index idx:
-// allResolved is true when every older store has issued (address known);
-// forwarded is true when the youngest older store to the same block has
-// completed, making store-to-load forwarding possible.
-func (l *LSQ) OlderStores(idx int, now float64) (allResolved, match, forwardable bool) {
-	e := &l.entries[idx]
-	allResolved = true
-	for i := idx - 1; i >= 0; i-- {
-		s := &l.entries[i]
-		if !s.IsStore {
-			continue
-		}
-		if !s.Issued || s.DoneAt > now {
-			allResolved = false
-		}
-		if !match && s.Block == e.Block {
-			match = true
-			forwardable = s.Issued && s.DoneAt <= now
-		}
-	}
-	return allResolved, match, forwardable
-}
+// Idle reports whether an issue scan at w.Now would provably issue
+// nothing: the last scan issued nothing and, by MarkIdle, no entry can
+// issue before a time w.Now has not reached; nothing readiness reads has
+// changed since.
+func (l *LSQ) Idle(w *Wakeup) bool { return l.idle.holds(w) }
+
+// MarkIdle records that the issue scan at w.Now issued nothing and that
+// no entry can issue before until.
+func (l *LSQ) MarkIdle(w *Wakeup, until float64) { l.idle.set(w, until) }
 
 // Retire removes the oldest entry if it matches seq (entries retire in
 // program order with the ROB).

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -13,9 +14,25 @@ import (
 var anyClass = ClassMask(0xffff)
 
 func visibleNow(now float64) *Wakeup {
-	w := &Wakeup{Periods: [4]float64{1000, 1000, 1000, 1000}}
+	w := &Wakeup{Ring: NewCompletionRing(1)}
+	for d := 0; d < 4; d++ {
+		w.SetPeriod(d, 1000)
+	}
 	w.SetTick(now, 0)
 	return w
+}
+
+// selectReady is a one-pipe select: SelectReady2 with the second pipe
+// closed.
+func selectReady(q *IssueQueue, max int, classes ClassMask, w *Wakeup) []Entry {
+	out, _ := q.SelectReady2(max, classes, 0, 0, w, nil, nil)
+	return out
+}
+
+// srcReady is the wakeup rule for one source, read off the operands.
+func srcReady(w *Wakeup, src int64) bool {
+	ops := w.Operands()
+	return w.Now >= ops.SrcAt(src)
 }
 
 func entry(seq uint64, visibleAt float64) Entry {
@@ -45,7 +62,7 @@ func TestIssueQueueSelectOldestFirst(t *testing.T) {
 		q.Push(entry(i, vis))
 	}
 	// Only even seqs ready; select at most 2: must pick 0 and 2.
-	got := q.SelectReady(2, anyClass, visibleNow(0), nil)
+	got := selectReady(q, 2, anyClass, visibleNow(0))
 	if len(got) != 2 || got[0].Seq != 0 || got[1].Seq != 2 {
 		t.Fatalf("selected %+v, want seqs 0,2", got)
 	}
@@ -53,7 +70,7 @@ func TestIssueQueueSelectOldestFirst(t *testing.T) {
 		t.Errorf("len after select = %d, want 4", q.Len())
 	}
 	// Remaining order preserved: 1,3,4,5.
-	rest := q.SelectReady(10, anyClass, visibleNow(math.Inf(1)), nil)
+	rest := selectReady(q, 10, anyClass, visibleNow(math.Inf(1)))
 	want := []uint64{1, 3, 4, 5}
 	for i, e := range rest {
 		if e.Seq != want[i] {
@@ -65,7 +82,7 @@ func TestIssueQueueSelectOldestFirst(t *testing.T) {
 func TestIssueQueueSelectNoneReady(t *testing.T) {
 	q := NewIssueQueue(4)
 	q.Push(entry(9, math.Inf(1)))
-	out := q.SelectReady(4, anyClass, visibleNow(100), nil)
+	out := selectReady(q, 4, anyClass, visibleNow(100))
 	if len(out) != 0 || q.Len() != 1 {
 		t.Error("nothing should have been selected")
 	}
@@ -80,7 +97,7 @@ func TestIssueQueueSelectClassMask(t *testing.T) {
 		q.Push(e)
 	}
 	mask := MaskOf(workload.IntALU, workload.Branch)
-	got := q.SelectReady(8, mask, visibleNow(0), nil)
+	got := selectReady(q, 8, mask, visibleNow(0))
 	if len(got) != 3 {
 		t.Fatalf("selected %d entries, want 3 (ALU, Branch, ALU)", len(got))
 	}
@@ -98,40 +115,43 @@ func TestWakeupSrcReadyMatchesVisibilityRule(t *testing.T) {
 	ring := NewCompletionRing(64)
 	ring.Dispatch(7, 2)
 	ring.Complete(7, 10_000)
-	w := &Wakeup{SyncWindowPS: 300, Periods: [4]float64{1000, 800, 1250, 900}, Ring: ring}
+	w := &Wakeup{SyncWindowPS: 300, Ring: ring}
+	for d, p := range [4]float64{1000, 800, 1250, 900} {
+		w.SetPeriod(d, p)
+	}
 	w.SetTick(0, 1)
 
 	// Absent source: always ready.
-	if !w.SrcReady(None) {
+	if !srcReady(w, None) {
 		t.Error("absent source not ready")
 	}
 	// Cross-domain (producer 2 → consumer 1): visible at
 	// done − period(producer) + window = 10000 − 1250 + 300 = 9050.
 	w.SetTick(9049.9, 1)
-	if w.SrcReady(7) {
+	if srcReady(w, 7) {
 		t.Error("ready before the synchronization window cleared")
 	}
 	w.SetTick(9050, 1)
-	if !w.SrcReady(7) {
+	if !srcReady(w, 7) {
 		t.Error("not ready at the visibility boundary")
 	}
 	// Same-domain: half-cycle guard, done − 0.5×period(producer).
 	w.SetTick(10_000-0.5*1250, 2)
-	if !w.SrcReady(7) {
+	if !srcReady(w, 7) {
 		t.Error("same-domain bypass point not honoured")
 	}
 	w.SetTick(10_000-0.5*1250-0.1, 2)
-	if w.SrcReady(7) {
+	if srcReady(w, 7) {
 		t.Error("ready before the same-domain bypass point")
 	}
 	// Single clock: the same half-cycle rule regardless of domains.
 	w.SingleClock = true
 	w.SetTick(10_000-0.5*1250, 1)
-	if !w.SrcReady(7) {
+	if !srcReady(w, 7) {
 		t.Error("single-clock bypass point not honoured")
 	}
 	// Never-dispatched producers read as ancient history.
-	if !w.SrcReady(55) {
+	if !srcReady(w, 55) {
 		t.Error("unknown producer should be long complete")
 	}
 }
@@ -257,32 +277,6 @@ func TestROBWraparound(t *testing.T) {
 	}
 }
 
-func TestLSQDisambiguation(t *testing.T) {
-	l := NewLSQ(8, 64)
-	inf := math.Inf(1)
-	l.Push(LSQEntry{Seq: 0, IsStore: true, Addr: 0x100, DoneAt: inf})
-	l.Push(LSQEntry{Seq: 1, IsStore: false, Addr: 0x104, DoneAt: inf}) // same block as store 0
-	l.Push(LSQEntry{Seq: 2, IsStore: false, Addr: 0x400, DoneAt: inf})
-
-	// Store 0 not issued: nothing resolved.
-	allRes, match, fwd := l.OlderStores(1, 100)
-	if allRes || !match || fwd {
-		t.Errorf("pre-issue: (%v,%v,%v), want (false,true,false)", allRes, match, fwd)
-	}
-	allRes, match, _ = l.OlderStores(2, 100)
-	if allRes || match {
-		t.Errorf("different block: (%v,%v), want (false,false)", allRes, match)
-	}
-
-	// Issue + complete the store: load 1 may forward.
-	l.Entries()[0].Issued = true
-	l.Entries()[0].DoneAt = 50
-	allRes, match, fwd = l.OlderStores(1, 100)
-	if !allRes || !match || !fwd {
-		t.Errorf("post-issue: (%v,%v,%v), want (true,true,true)", allRes, match, fwd)
-	}
-}
-
 func TestLSQRetireInOrder(t *testing.T) {
 	l := NewLSQ(4, 64)
 	l.Push(LSQEntry{Seq: 5})
@@ -334,7 +328,7 @@ func TestSelectPreservesOrderProperty(t *testing.T) {
 			q.Push(entry(i, vis))
 		}
 		max := int(maxSel % 17)
-		got := q.SelectReady(max, anyClass, visibleNow(0), nil)
+		got := selectReady(q, max, anyClass, visibleNow(0))
 		if len(got) > max {
 			return false
 		}
@@ -345,7 +339,7 @@ func TestSelectPreservesOrderProperty(t *testing.T) {
 			}
 			prev = int64(e.Seq)
 		}
-		rest := q.SelectReady(16, anyClass, visibleNow(math.Inf(1)), nil)
+		rest := selectReady(q, 16, anyClass, visibleNow(math.Inf(1)))
 		prev = -1
 		for _, e := range rest {
 			if int64(e.Seq) <= prev {
@@ -357,5 +351,235 @@ func TestSelectPreservesOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// naiveSelect2 is the reference wakeup/select: it walks every entry on
+// every call, with the visibility rule spelled out from ring lookups
+// (pipeline.Core.xvisible's expression) and no idle mark. It returns the
+// entries left behind and the two pipes' selections, oldest first.
+func naiveSelect2(entries []Entry, max1 int, c1 ClassMask, max2 int, c2 ClassMask,
+	ring *CompletionRing, periods [4]float64, singleClock bool, windowPS, now float64, dom uint8) (rest, out1, out2 []Entry) {
+	visible := func(src int64) bool {
+		if src < 0 {
+			return true
+		}
+		done, from := ring.Lookup(uint64(src))
+		if singleClock || from == dom {
+			return now >= done-0.5*periods[from]
+		}
+		return now >= done-periods[from]+windowPS
+	}
+	for _, e := range entries {
+		ready := e.VisibleAt <= now && visible(e.Src1) && visible(e.Src2)
+		switch {
+		case ready && max1 > 0 && c1.Has(e.Class):
+			out1 = append(out1, e)
+			max1--
+		case ready && max2 > 0 && c2.Has(e.Class) && !(max1 > 0 && c1.Has(e.Class)):
+			out2 = append(out2, e)
+			max2--
+		default:
+			rest = append(rest, e)
+		}
+	}
+	return rest, out1, out2
+}
+
+func sameEntries(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIdleSelectMatchesNaiveScan drives a seeded random sequence of
+// dispatches, completions, period changes, fast-forward shifts and
+// advancing time through an issue queue, and on every tick compares the
+// idle-skipping select (Idle, then SelectReady2 when not idle) with a
+// naive full scan: the selections, and the entries left in the queue and
+// their order, must match exactly. The ring is small so dispatches
+// overwrite slots that queued entries still name.
+func TestIdleSelectMatchesNaiveScan(t *testing.T) {
+	const (
+		ringSize = 64
+		capacity = 12
+		ticks    = 20_000
+	)
+	intALU := MaskOf(workload.IntALU, workload.Branch)
+	intMul := MaskOf(workload.IntMul)
+	classes := []workload.Class{workload.IntALU, workload.IntALU, workload.Branch, workload.IntMul}
+	periodChoices := []float64{1000, 1250, 1600, 2000, 4000}
+	for _, singleClock := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(42))
+		ring := NewCompletionRing(ringSize)
+		w := &Wakeup{SingleClock: singleClock, SyncWindowPS: 300, Ring: ring}
+		var periods [4]float64
+		for d := range periods {
+			periods[d] = 1000
+			w.SetPeriod(d, periods[d])
+		}
+		q := NewIssueQueue(capacity)
+		var ref []Entry
+		var seq uint64
+		var inflight []uint64
+		now := 0.0
+		const dom = 1
+		skipped := 0
+		for tick := 0; tick < ticks; tick++ {
+			// Dispatch: a new seq enters the ring (in some exec domain),
+			// the queue, or both — the queue's own Push must retire an
+			// idle mark even when the ring does not move.
+			for n := rng.Intn(3); n > 0; n-- {
+				seq++
+				toRing, toQueue := true, true
+				switch rng.Intn(4) {
+				case 0:
+					toQueue = false
+				case 1:
+					toRing = false
+				}
+				if toRing {
+					ring.Dispatch(seq, uint8(1+rng.Intn(3)))
+					inflight = append(inflight, seq)
+				}
+				if !toQueue || q.Free() == 0 {
+					continue
+				}
+				e := Entry{Seq: seq, Class: classes[rng.Intn(len(classes))], Src1: None, Src2: None,
+					VisibleAt: now + float64(rng.Intn(3000))}
+				if d := rng.Intn(50); d > 0 && uint64(d) < seq {
+					e.Src1 = int64(seq) - int64(d)
+				}
+				if d := rng.Intn(50); d > 0 && uint64(d) < seq && rng.Intn(2) == 0 {
+					e.Src2 = int64(seq) - int64(d)
+				}
+				q.Push(e)
+				ref = append(ref, e)
+			}
+			// Completions of random in-flight producers.
+			for n := rng.Intn(2); n > 0 && len(inflight) > 0; n-- {
+				i := rng.Intn(len(inflight))
+				ring.Complete(inflight[i], now+float64(1+rng.Intn(20))*1000)
+				inflight = append(inflight[:i], inflight[i+1:]...)
+			}
+			if rng.Intn(200) == 0 {
+				d := rng.Intn(4)
+				periods[d] = periodChoices[rng.Intn(len(periodChoices))]
+				w.SetPeriod(d, periods[d])
+			}
+			if rng.Intn(500) == 0 {
+				dt := float64(rng.Intn(100_000))
+				q.ShiftTimes(dt)
+				ring.ShiftTimes(dt)
+				for i := range ref {
+					ref[i].VisibleAt += dt
+				}
+				now += dt
+			}
+			now += float64(rng.Intn(1500))
+
+			w.SetTick(now, dom)
+			var got1, got2 []Entry
+			if q.Idle(w) {
+				skipped++
+			} else {
+				got1, got2 = q.SelectReady2(2, intALU, 1, intMul, w, nil, nil)
+			}
+			var want1, want2 []Entry
+			ref, want1, want2 = naiveSelect2(ref, 2, intALU, 1, intMul, ring, periods, singleClock, 300, now, dom)
+			if !sameEntries(got1, want1) || !sameEntries(got2, want2) || !sameEntries(q.entries, ref) {
+				t.Fatalf("single=%v tick %d (now %.0f): selected %v/%v, want %v/%v; left %v, want %v",
+					singleClock, tick, now, got1, got2, want1, want2, q.entries, ref)
+			}
+			// Issued entries complete, as the pipeline's issue does.
+			for _, e := range append(got1, got2...) {
+				ring.Complete(e.Seq, now+float64(1+rng.Intn(4))*periods[dom])
+			}
+		}
+		if skipped < ticks/10 {
+			t.Errorf("single=%v: only %d of %d ticks skipped their scan", singleClock, skipped, ticks)
+		}
+	}
+}
+
+// TestIdleMarkInvalidation checks each source that must retire an idle
+// mark: the queue's own Push, Reset, CopyFrom and ShiftTimes, a ring
+// write, a period change and a different consuming domain — and that
+// time reaching the recorded ready time ends it too.
+func TestIdleMarkInvalidation(t *testing.T) {
+	ring := NewCompletionRing(16)
+	w := &Wakeup{SyncWindowPS: 300, Ring: ring}
+	for d := 0; d < 4; d++ {
+		w.SetPeriod(d, 1000)
+	}
+	idleQueue := func() *IssueQueue {
+		q := NewIssueQueue(4)
+		q.Push(Entry{Seq: 2, Src1: 1, Src2: None, VisibleAt: 5000})
+		w.SetTick(100, 1)
+		if out, _ := q.SelectReady2(1, anyClass, 0, 0, w, nil, nil); len(out) != 0 {
+			t.Fatal("setup: the scan must select nothing")
+		}
+		w.SetTick(200, 1)
+		if !q.Idle(w) {
+			t.Fatal("setup: an unchanged queue at a later tick must be idle")
+		}
+		return q
+	}
+	cases := []struct {
+		name string
+		act  func(q *IssueQueue)
+	}{
+		{"push", func(q *IssueQueue) { q.Push(Entry{Seq: 3, Src1: None, Src2: None}) }},
+		{"reset", func(q *IssueQueue) { q.Reset(4) }},
+		{"copy", func(q *IssueQueue) { q.CopyFrom(q.Clone()) }},
+		{"shift", func(q *IssueQueue) { q.ShiftTimes(-10_000) }},
+		{"ring complete", func(*IssueQueue) { ring.Complete(1, 150) }},
+		{"ring dispatch", func(*IssueQueue) { ring.Dispatch(17, 2) }},
+		{"ring shift", func(*IssueQueue) { ring.ShiftTimes(0) }},
+		{"ring copy", func(*IssueQueue) { ring.CopyFrom(ring.Clone()) }},
+		{"ring reset", func(*IssueQueue) { ring.Reset() }},
+		{"period", func(*IssueQueue) { w.SetPeriod(3, 2000) }},
+		{"domain", func(*IssueQueue) { w.SetTick(200, 2) }},
+		{"time", func(*IssueQueue) { w.SetTick(5000, 1) }},
+	}
+	for _, tc := range cases {
+		// Producer 1 (FP domain) is visible in the integer domain at
+		// 3000 − 1000 + 300; the entry itself only at 5000.
+		ring.Reset()
+		ring.Dispatch(1, 2)
+		ring.Complete(1, 3000)
+		q := idleQueue()
+		tc.act(q)
+		if q.Idle(w) {
+			t.Errorf("%s: queue still idle", tc.name)
+		}
+	}
+	// A retiring entry has issued; removing it keeps the mark.
+	l := NewLSQ(4, 64)
+	l.Push(LSQEntry{Seq: 1, Issued: true, Src1: None, Src2: None})
+	l.Push(LSQEntry{Seq: 2, Src1: None, Src2: None, VisibleAt: 5000})
+	w.SetTick(100, 3)
+	l.MarkIdle(w, 5000)
+	l.Retire(1)
+	if !l.Idle(w) {
+		t.Error("LSQ retire dropped the idle mark")
+	}
+	for _, act := range []func(){
+		func() { l.Push(LSQEntry{Seq: 3}) },
+		func() { l.ShiftTimes(1) },
+		func() { l.CopyFrom(l.Clone()) },
+		func() { l.Reset(4, 64) },
+	} {
+		l.MarkIdle(w, 5000)
+		act()
+		if l.Idle(w) {
+			t.Error("LSQ change kept the idle mark")
+		}
 	}
 }
